@@ -30,6 +30,8 @@ import dataclasses
 import json
 from typing import Any, Dict, Optional
 
+from repro.store import IntegrityError
+
 #: snapshot format version; bumped on any schema change so an old
 #: generation is rejected by name instead of mis-restored.
 #: v2 added the scheduled MMIO device state (UART, timer, block device)
@@ -46,7 +48,7 @@ class CheckpointError(Exception):
     """Base class for every checkpoint/restore failure."""
 
 
-class SnapshotIntegrityError(CheckpointError):
+class SnapshotIntegrityError(CheckpointError, IntegrityError):
     """Snapshot bytes are damaged: truncated, corrupted, or the sha256
     sidecar is missing or does not match."""
 

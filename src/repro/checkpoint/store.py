@@ -5,13 +5,11 @@ Snapshots live next to the trace cache, one directory per run id::
     .trace_cache/checkpoints/<run_id>/gen-0000000000012345.json
     .trace_cache/checkpoints/<run_id>/gen-0000000000012345.json.sha256
 
-Every write is atomic and durable: payload to a temp file, ``fsync`` of
-the file *and* its directory entry, ``os.replace`` into place, sha256
-sidecar second (so a crash between the two leaves a data file without a
-sidecar, which :meth:`SnapshotStore.load` rejects by name).  Writers
-serialize on an ``O_CREAT|O_EXCL`` lockfile carrying the owner pid; a
-lock whose owner is dead is broken immediately, a merely *old* lock
-after :data:`LOCK_STALE_SECONDS`.
+Every file goes through :mod:`repro.store`: the payload and then its
+sha256 sidecar are written atomically and durably (so a crash between
+the two leaves a data file without a sidecar, which
+:meth:`SnapshotStore.load` rejects by name), and writers serialize on
+the run directory's pid lockfile.
 
 Reads are validating and never trust a single generation: ``load``
 raises :class:`SnapshotIntegrityError` for truncated/corrupted bytes and
@@ -23,11 +21,10 @@ chaos-killed run resumes through.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
-import time
+import shutil
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.state import (
@@ -35,54 +32,16 @@ from repro.checkpoint.state import (
     SnapshotFormatError,
     SnapshotIntegrityError,
 )
+from repro.store import (
+    get_verified,
+    pid_lock,
+    put_verified,
+    sidecar_path,
+)
 
 #: src/repro/checkpoint/store.py -> repository root
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_ROOT = REPO_ROOT / ".trace_cache" / "checkpoints"
-
-#: a lock older than this is presumed orphaned even if the pid cannot
-#: be probed (same policy as the trace store)
-LOCK_STALE_SECONDS = 120.0
-LOCK_TIMEOUT_SECONDS = 30.0
-
-
-def _fsync_directory(directory: pathlib.Path) -> None:
-    """Flush a directory entry so a rename survives power loss."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _write_durable(path: pathlib.Path, data: bytes) -> None:
-    """Atomic, durable byte write: temp + fsync + replace + dir fsync."""
-    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    try:
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        if tmp.exists():
-            os.unlink(tmp)
-        raise
-    _fsync_directory(path.parent)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except (OverflowError, ValueError):
-        return False
-    return True
 
 
 class SnapshotStore:
@@ -109,42 +68,6 @@ class SnapshotStore:
             return []
         return sorted(path for path in run_dir.glob("gen-*.json"))
 
-    # ----------------------------------------------------------- locks
-    def _acquire_lock(self, run_dir: pathlib.Path) -> pathlib.Path:
-        lock = run_dir / ".lock"
-        deadline = time.monotonic() + LOCK_TIMEOUT_SECONDS
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode("ascii"))
-                os.close(fd)
-                return lock
-            except FileExistsError:
-                if self._lock_is_orphaned(lock):
-                    try:
-                        os.unlink(lock)
-                    except FileNotFoundError:
-                        pass
-                    continue
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"snapshot lock {lock} held for more than "
-                        f"{LOCK_TIMEOUT_SECONDS}s")
-                time.sleep(0.05)
-
-    @staticmethod
-    def _lock_is_orphaned(lock: pathlib.Path) -> bool:
-        """A lock is orphaned when its owner pid is dead (a SIGKILLed
-        writer) or when it is simply too old to be live."""
-        try:
-            raw = lock.read_text()
-            mtime = lock.stat().st_mtime
-        except (OSError, ValueError):
-            return False
-        if raw.strip().isdigit() and not _pid_alive(int(raw.strip())):
-            return True
-        return time.time() - mtime > LOCK_STALE_SECONDS
-
     # ------------------------------------------------------------ save
     def save(self, run_id: str, state: Dict[str, Any]) -> pathlib.Path:
         """Commit one generation; returns the snapshot path.
@@ -155,27 +78,13 @@ class SnapshotStore:
         """
         cycles = state_cycles(state)
         run_dir = self.run_dir(run_id)
-        run_dir.mkdir(parents=True, exist_ok=True)
         path = run_dir / f"gen-{cycles:016d}.json"
         data = json.dumps(state, sort_keys=True).encode("utf-8")
-        digest = hashlib.sha256(data).hexdigest()
-        lock = self._acquire_lock(run_dir)
-        try:
-            _write_durable(path, data)
-            _write_durable(self._sidecar(path),
-                           (digest + "\n").encode("ascii"))
-        finally:
-            try:
-                os.unlink(lock)
-            except FileNotFoundError:
-                pass
+        with pid_lock(run_dir / ".lock"):
+            put_verified(path, data)
         return path
 
     # ------------------------------------------------------------ load
-    @staticmethod
-    def _sidecar(path: pathlib.Path) -> pathlib.Path:
-        return path.with_name(path.name + ".sha256")
-
     def load(self, path: pathlib.Path) -> Dict[str, Any]:
         """Read and fully validate one generation.
 
@@ -185,24 +94,10 @@ class SnapshotStore:
         """
         path = pathlib.Path(path)
         try:
-            data = path.read_bytes()
-        except OSError as exc:
+            data = get_verified(path, SnapshotIntegrityError)
+        except SnapshotIntegrityError:
             self.rejects += 1
-            raise SnapshotIntegrityError(
-                f"snapshot {path} is unreadable: {exc}") from exc
-        try:
-            recorded = self._sidecar(path).read_text().strip()
-        except OSError as exc:
-            self.rejects += 1
-            raise SnapshotIntegrityError(
-                f"snapshot {path} has no sha256 sidecar "
-                "(interrupted write?)") from exc
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != recorded:
-            self.rejects += 1
-            raise SnapshotIntegrityError(
-                f"snapshot {path} fails its sha256 check "
-                f"(recorded {recorded[:12]}..., actual {digest[:12]}...)")
+            raise
         try:
             state = json.loads(data)
         except ValueError as exc:
@@ -241,7 +136,7 @@ class SnapshotStore:
         removed = 0
         generations = self.generations(run_id)
         for path in generations[:-keep] if keep else generations:
-            for victim in (path, self._sidecar(path)):
+            for victim in (path, sidecar_path(path)):
                 try:
                     os.unlink(victim)
                     removed += 1
@@ -251,8 +146,6 @@ class SnapshotStore:
 
     def delete_run(self, run_id: str) -> None:
         """Remove a run's entire ladder (end-of-campaign cleanup)."""
-        import shutil
-
         shutil.rmtree(self.run_dir(run_id), ignore_errors=True)
 
 
@@ -265,8 +158,6 @@ def state_cycles(state: Dict[str, Any]) -> int:
 
 __all__ = [
     "DEFAULT_ROOT",
-    "LOCK_STALE_SECONDS",
-    "LOCK_TIMEOUT_SECONDS",
     "SnapshotStore",
     "state_cycles",
 ]

@@ -25,6 +25,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.fuzz.gen import GeneratedProgram
 from repro.fuzz.oracle import DivergenceReport
 from repro.harness.bench import REPO_ROOT, write_json_atomic
+from repro.store import write_durable
 
 DEFAULT_CORPUS = REPO_ROOT / "fuzz_corpus"
 
@@ -59,9 +60,10 @@ def write_entry(generated: GeneratedProgram, report: DivergenceReport,
     """Persist one (shrunk) reproducer; returns the entry directory."""
     base = pathlib.Path(corpus_dir) if corpus_dir else DEFAULT_CORPUS
     entry_dir = base / entry_name(generated, report)
-    entry_dir.mkdir(parents=True, exist_ok=True)
-    source_file = entry_dir / _SOURCE_NAME[generated.mode]
-    source_file.write_text(generated.source)
+    # source first, meta.json second: an entry is only listed once its
+    # meta.json exists, and each file is replaced whole or not at all
+    write_durable(entry_dir / _SOURCE_NAME[generated.mode],
+                  generated.source.encode("utf-8"))
     meta: Dict[str, Any] = {
         "schema": 1,
         "seed": generated.seed,

@@ -26,11 +26,11 @@ import json
 import os
 import pathlib
 import platform
-import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.runner import Job, JobResult, Runner
+from repro.store import write_durable
 
 #: src/repro/harness/bench.py -> repository root
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -43,35 +43,11 @@ THROUGHPUT_WORKLOADS = ("sieve", "bubble")
 
 
 def write_json_atomic(path: pathlib.Path, payload: Any) -> None:
-    """Crash-durable JSON write: temp file in the target directory,
-    fsync, ``os.replace``, then fsync the directory so the *rename
-    itself* survives a power cut.  A reader (or a concurrent producer)
-    never observes a partially-written telemetry file, only the old or
-    the new one -- even if the process is killed between any two steps
-    (a leftover ``*.tmp`` is the only possible debris, and it is never
-    mistaken for the real file)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``payload`` as indented, key-sorted JSON through
+    :func:`repro.store.write_durable`: a reader never observes a torn
+    report, only the old one or the new one."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent,
-                               suffix=path.suffix + ".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    directory_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory_fd)
-    except OSError:
-        pass  # some filesystems refuse directory fsync; rename still atomic
-    finally:
-        os.close(directory_fd)
+    write_durable(path, text.encode("utf-8"))
 
 
 def measure_core_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,

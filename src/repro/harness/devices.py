@@ -29,6 +29,7 @@ import random
 from typing import Any, Dict, List, Optional
 
 from repro.core import Machine, perfect_memory_config
+from repro.harness.bench import write_json_atomic
 from repro.workloads.kernel import (KERNEL_DEMOS, KernelRun,
                                     build_kernel_program, run_kernel_demo)
 
@@ -143,8 +144,7 @@ def run_devices_gate(quick: bool = False,
     }
     path = pathlib.Path(output) if output else pathlib.Path(
         "DEVICES_results.json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json_atomic(path, payload)
     payload["report_path"] = str(path)
     return payload
 

@@ -202,10 +202,10 @@ class Runner:
       exponential delay: attempt ``n`` of job ``j`` waits
       ``base * 2**(n-2) * (1 + jitter * draw(j, n))`` where ``draw`` is
       a stable sha256 hash of ``(jitter_seed, job id, attempt)`` mapped
-      into [0, 1).  Coalesced service requests that crash together thus
-      retry *spread out* instead of thundering-herding the pool, and
-      the schedule is still exactly reproducible (and pinnable in
-      tests) because nothing consults a random source at run time;
+      into [0, 1).  Jobs that crash together thus retry *spread out*
+      instead of thundering-herding the pool, and the schedule is
+      still exactly reproducible (and pinnable in tests) because
+      nothing consults a random source at run time;
     * ``retry_budget`` -- total respawns allowed across the whole run
       (None = unlimited); once exhausted, crashes are final;
     * ``default_timeout`` -- watchdog for jobs with ``timeout=None``;
@@ -293,7 +293,7 @@ class Runner:
         With ``backoff_jitter`` > 0 the delay is stretched by a
         deterministic per-(job, attempt) factor in
         ``[1, 1 + backoff_jitter)`` so simultaneous crash retries
-        (coalesced service requests, a chaos-killed batch) de-correlate
+        (a chaos-killed batch) de-correlate
         instead of respawning in lockstep.  The draw hashes
         ``jitter_seed``, the job id, and the attempt with sha256 --
         never Python's salted ``hash()`` -- so the schedule is

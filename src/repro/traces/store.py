@@ -16,15 +16,24 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import logging
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+
+from repro.store import (
+    IntegrityError,
+    get_verified,
+    pid_lock,
+    put_verified,
+    sidecar_path,
+    sweep_stale_tmp,
+    write_durable,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -51,29 +60,30 @@ class CapturedTrace:
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.arrays.values())
 
-    def save(self, path: Path) -> None:
+    def to_bytes(self) -> bytes:
+        """The compressed ``.npz`` archive of arrays plus metadata."""
         meta_blob = np.frombuffer(
             json.dumps(self.meta, sort_keys=True).encode(), dtype=np.uint8)
         payload = dict(self.arrays)
         payload[_META_KEY] = meta_blob
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **payload)
+        return buffer.getvalue()
 
     @classmethod
-    def load(cls, path: Path) -> "CapturedTrace":
-        with np.load(path) as npz:
+    def from_bytes(cls, data: bytes) -> "CapturedTrace":
+        with np.load(io.BytesIO(data)) as npz:
             meta = json.loads(bytes(npz[_META_KEY]).decode())
             arrays = {name: npz[name] for name in npz.files
                       if name != _META_KEY}
         return cls(arrays=arrays, meta=meta)
+
+    def save(self, path: Path) -> None:
+        write_durable(path, self.to_bytes())
+
+    @classmethod
+    def load(cls, path: Path) -> "CapturedTrace":
+        return cls.from_bytes(Path(path).read_bytes())
 
 
 def canonical_json(material: object) -> str:
@@ -82,10 +92,8 @@ def canonical_json(material: object) -> str:
     Key-sorted, minimal separators, no whitespace variance: two
     structurally equal values (whatever their dict insertion order, and
     with tuples and lists interchangeable) canonicalise to the same
-    text.  Both the trace-store descriptor keys and the service-layer
-    request hashes (:mod:`repro.service.cache`) derive their sha256
-    content addresses from this one function, so the two caches can
-    never drift apart on canonicalisation.
+    text.  The trace-store descriptor keys derive their sha256 content
+    addresses from it.
     """
     return json.dumps(material, sort_keys=True, separators=(",", ":"))
 
@@ -100,23 +108,15 @@ def descriptor_key(descriptor: Dict[str, object]) -> str:
 class TraceStore:
     """On-disk cache of captured traces keyed by capture descriptor.
 
-    Integrity: every entry carries a ``.sha256`` sidecar with the digest
-    of the ``.npz`` payload bytes.  :meth:`get` verifies it -- a corrupt,
-    truncated, or sidecar-less entry is a counted-and-logged **miss**
-    (``integrity_failures``), never a silent wrong replay.  :meth:`put`
-    holds a per-entry lockfile so two concurrent producers (parallel
-    ``repro bench`` runs racing on a cold cache) cannot interleave the
-    payload and its digest.
+    Entries are written and verified through :mod:`repro.store`: every
+    ``.npz`` is durable and carries a ``.sha256`` sidecar.  :meth:`get`
+    verifies it -- a corrupt, truncated, or sidecar-less entry is a
+    counted-and-logged **miss** (``integrity_failures``), never a silent
+    wrong replay -- and a cold miss sweeps the temp files of writers
+    killed mid-save.  :meth:`put` holds a per-entry pid lock so two
+    concurrent producers (parallel ``repro bench`` runs racing on a cold
+    cache) cannot interleave the payload and its digest.
     """
-
-    #: a lock older than this is presumed abandoned (crashed writer) and
-    #: is broken; trace captures run seconds, not minutes.  A lock whose
-    #: recorded pid is dead is broken immediately, whatever its age.
-    LOCK_STALE_SECONDS = 120.0
-    LOCK_TIMEOUT_SECONDS = 30.0
-    #: a writer SIGKILLed mid-save leaves a ``*.tmp``; ones older than
-    #: this are swept on a cache miss (a live writer finishes in seconds)
-    TMP_STALE_SECONDS = 120.0
 
     def __init__(self, root: Optional[Path] = None):
         self.root = Path(root) if root is not None else DEFAULT_ROOT
@@ -128,150 +128,35 @@ class TraceStore:
         return self.root / f"{descriptor_key(descriptor)}.npz"
 
     def digest_path_for(self, descriptor: Dict[str, object]) -> Path:
-        return self.path_for(descriptor).with_suffix(".sha256")
+        return sidecar_path(self.path_for(descriptor))
 
     def get(self, descriptor: Dict[str, object]) -> Optional[CapturedTrace]:
         path = self.path_for(descriptor)
         if not path.exists():
             self.misses += 1
-            self._sweep_stale_tmp()
+            sweep_stale_tmp(self.root)
             return None
         try:
-            payload = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        digest_path = self.digest_path_for(descriptor)
-        try:
-            expected = digest_path.read_text().strip()
-        except OSError:
-            expected = None
-        actual = hashlib.sha256(payload).hexdigest()
-        if expected != actual:
-            self.integrity_failures += 1
-            self.misses += 1
-            reason = ("no sha256 sidecar" if expected is None
-                      else f"sha256 mismatch (expected {expected[:12]}..., "
-                           f"got {actual[:12]}...)")
-            logger.warning("trace store: %s for %s; treating as a miss",
-                           reason, path.name)
-            return None
-        try:
-            trace = CapturedTrace.load(path)
+            trace = CapturedTrace.from_bytes(get_verified(path))
+        except IntegrityError as exc:
+            reason = str(exc)
         except (OSError, ValueError, KeyError):
             # digest matched but the archive does not parse: a corrupt
             # payload was stored wholesale (writer bug, not bit rot)
-            self.integrity_failures += 1
-            self.misses += 1
-            logger.warning("trace store: undecodable entry %s; treating "
-                           "as a miss", path.name)
-            return None
-        self.hits += 1
-        return trace
-
-    def _sweep_stale_tmp(self) -> None:
-        """Age out ``*.tmp`` debris left by writers killed mid-save.
-
-        A SIGKILL between ``mkstemp`` and ``os.replace`` orphans the
-        temp file; it can never be mistaken for an entry (entries end in
-        ``.npz``), but it would accumulate forever.  Swept lazily on a
-        miss so the hot hit path never pays for it.
-        """
-        try:
-            candidates = list(self.root.glob("*.tmp"))
-        except OSError:
-            return
-        now = time.time()
-        for tmp in candidates:
-            try:
-                if now - tmp.stat().st_mtime > self.TMP_STALE_SECONDS:
-                    tmp.unlink()
-                    logger.warning("trace store: removed orphaned temp "
-                                   "file %s (crashed writer)", tmp.name)
-            except OSError:
-                pass                        # concurrent sweep or live writer
-
-    # ------------------------------------------------------------- locking
-    def _lock_path(self, path: Path) -> Path:
-        return path.with_suffix(".lock")
-
-    @staticmethod
-    def _lock_holder_dead(lock: Path) -> bool:
-        """True when the lock records a pid that no longer exists."""
-        try:
-            pid = int(lock.read_text().strip() or "0")
-        except (OSError, ValueError):
-            return False            # vanished, or pid not yet written
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            return False            # alive, owned by someone else
-        return False
-
-    def _acquire_lock(self, path: Path) -> Path:
-        lock = self._lock_path(path)
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        deadline = time.monotonic() + self.LOCK_TIMEOUT_SECONDS
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode())
-                os.close(fd)
-                return lock
-            except FileExistsError:
-                try:
-                    age = time.time() - lock.stat().st_mtime
-                except OSError:
-                    continue                    # holder just released it
-                if self._lock_holder_dead(lock):
-                    logger.warning("trace store: breaking lock %s (holder "
-                                   "pid is dead)", lock.name)
-                    try:
-                        lock.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if age > self.LOCK_STALE_SECONDS:
-                    logger.warning("trace store: breaking stale lock %s "
-                                   "(%.0fs old)", lock.name, age)
-                    try:
-                        lock.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"trace store: could not acquire {lock} within "
-                        f"{self.LOCK_TIMEOUT_SECONDS:.0f}s") from None
-                time.sleep(0.05)
+            reason = f"undecodable entry {path}"
+        else:
+            self.hits += 1
+            return trace
+        self.integrity_failures += 1
+        self.misses += 1
+        logger.warning("trace store: %s; treating as a miss", reason)
+        return None
 
     def put(self, descriptor: Dict[str, object],
             trace: CapturedTrace) -> Path:
         path = self.path_for(descriptor)
-        lock = self._acquire_lock(path)
-        try:
-            trace.save(path)
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            digest_path = self.digest_path_for(descriptor)
-            fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                       suffix=".sha256.tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(digest + "\n")
-                os.replace(tmp, digest_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        finally:
-            try:
-                lock.unlink()
-            except OSError:
-                pass
+        with pid_lock(path.with_suffix(".lock")):
+            put_verified(path, trace.to_bytes())
         return path
 
     def get_or_capture(

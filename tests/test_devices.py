@@ -264,6 +264,28 @@ class TestDevicesGate:
         assert any("translated fast path" in failure for failure in failures)
         assert any("zero interrupts" in failure for failure in failures)
 
+    def test_failed_report_write_keeps_previous_report(
+            self, gate_payload, tmp_path, monkeypatch):
+        import os
+
+        from repro.harness import devices
+
+        _, output = gate_payload
+        report = tmp_path / "DEVICES_results.json"
+        report.write_bytes(output.read_bytes())
+        monkeypatch.setattr(devices, "_gate_demo",
+                            lambda name: {"ok": False})
+
+        def refuse(*args, **kwargs):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            devices.run_devices_gate(quick=True, output=report)
+        monkeypatch.undo()
+        assert report.read_bytes() == output.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [report.name]
+
     def test_report_validator_catches_missing_file(self, tmp_path):
         from repro.tools.check_results import check_devices_file
 

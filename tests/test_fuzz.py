@@ -32,6 +32,7 @@ from repro.fuzz.gen import GenConfig, generate_program
 from repro.fuzz.mutation import MUTATIONS, get_mutator
 from repro.fuzz.oracle import (
     PAIR_GOLDEN_PIPELINE,
+    DivergenceReport,
     check_all,
     check_program,
 )
@@ -132,6 +133,30 @@ class TestCorpus:
         assert (entry.pair, entry.kind) == (report.pair, report.kind)
         assert entry.mutation == "sra-logical"
         assert replay_entry(entry) == []
+
+    def test_failed_refile_leaves_no_torn_entry(self, tmp_path,
+                                                monkeypatch):
+        import os
+
+        generated = generate_program(0, QUICK_ISA)
+        report = DivergenceReport(pair=PAIR_GOLDEN_PIPELINE, kind="state",
+                                  mismatches=[{"detail": "r1"}])
+        entry_dir = write_entry(generated, report, corpus_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in entry_dir.iterdir()}
+        refiled = dataclasses.replace(generated, source="nop\n" * 3)
+
+        def refuse(*args, **kwargs):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_entry(refiled, report, corpus_dir=tmp_path)
+        monkeypatch.undo()
+        # neither file was torn or half-replaced, and no debris is left
+        assert {p.name: p.read_bytes()
+                for p in entry_dir.iterdir()} == before
+        (entry,) = iter_corpus(tmp_path)
+        assert entry.generated == generated
 
     def test_committed_corpus_replays_clean(self):
         """Tier-1 regression pin: every repro the fuzzer ever filed."""

@@ -7,11 +7,14 @@ spill-to-disk path, and the 32-bit masking on bulk memory image loads.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.core  # noqa: F401  -- resolves the core<->ecache import cycle
+import repro.store
 from repro.ecache.memory import Memory, MemoryFault
 from repro.traces.capture import TraceCollector
-from repro.traces.store import CapturedTrace, TraceStore, descriptor_key
+from repro.traces.store import (CapturedTrace, TraceStore, canonical_json,
+                                descriptor_key)
 
 
 class TestCapturedTrace:
@@ -43,7 +46,43 @@ class TestCapturedTrace:
         assert trace.nbytes() == 10 * 8 + 10
 
 
+_scalars = (st.integers(min_value=-2**31, max_value=2**31) | st.booleans()
+            | st.text(max_size=8) | st.floats(allow_nan=False,
+                                              allow_infinity=False))
+_params = st.dictionaries(
+    st.text(min_size=1, max_size=8), _scalars | st.lists(_scalars,
+                                                         max_size=4),
+    max_size=6)
+
+
 class TestDescriptorKey:
+    """The content address is semantic, not syntactic."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(params=_params)
+    def test_descriptor_key_ignores_dict_insertion_order(self, params):
+        reversed_params = {key: params[key] for key in reversed(list(params))}
+        assert descriptor_key(params) == descriptor_key(reversed_params)
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(_scalars, min_size=1, max_size=5))
+    def test_tuples_and_lists_are_interchangeable(self, values):
+        assert descriptor_key({"points": tuple(values)}) == \
+            descriptor_key({"points": list(values)})
+
+    @settings(max_examples=50, deadline=None)
+    @given(params=_params, key=st.text(min_size=1, max_size=8),
+           bump=st.integers(min_value=1, max_value=99))
+    def test_any_value_change_changes_the_key(self, params, key, bump):
+        assume(key != "format")             # always overwritten by FORMAT
+        changed = dict(params)
+        changed[key] = (changed.get(key, 0) + bump
+                        if isinstance(changed.get(key, 0), int) else bump)
+        assert descriptor_key(params) != descriptor_key(changed)
+
+    def test_canonical_json_is_key_sorted_and_minimal(self):
+        assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
     def test_key_is_order_independent(self):
         assert (descriptor_key({"a": 1, "b": "x"})
                 == descriptor_key({"b": "x", "a": 1}))
@@ -179,48 +218,8 @@ class TestTraceStoreIntegrity:
         assert not any(name.endswith(".lock") for name in leftovers)
         assert not any(".tmp" in name for name in leftovers)
 
-    def test_stale_lock_is_broken(self, tmp_path):
-        import os
-        import time
-
-        store = TraceStore(root=tmp_path)
-        lock = store._lock_path(store.path_for(self._descriptor()))
-        lock.write_text("12345")
-        old = time.time() - store.LOCK_STALE_SECONDS - 10
-        os.utime(lock, (old, old))
-        self._put_one(store)                     # must not time out
-        assert store.get(self._descriptor()) is not None
-        assert not lock.exists()
-
-    def test_held_lock_times_out(self, tmp_path):
-        import os
-
-        store = TraceStore(root=tmp_path)
-        store.LOCK_TIMEOUT_SECONDS = 0.2
-        lock = store._lock_path(store.path_for(self._descriptor()))
-        # our own (live) pid: genuinely held, not breakable as dead
-        lock.write_text(str(os.getpid()))
-        with pytest.raises(TimeoutError, match="could not acquire"):
-            self._put_one(store)
-
-    def test_dead_holder_lock_is_broken_immediately(self, tmp_path):
-        import multiprocessing
-        import time
-
-        worker = multiprocessing.Process(target=lambda: None)
-        worker.start()
-        worker.join()                            # pid now provably dead
-        store = TraceStore(root=tmp_path)
-        store.LOCK_TIMEOUT_SECONDS = 30.0
-        lock = store._lock_path(store.path_for(self._descriptor()))
-        lock.write_text(str(worker.pid))         # fresh mtime, dead pid
-        start = time.monotonic()
-        self._put_one(store)                     # must not wait for age-out
-        assert time.monotonic() - start < store.LOCK_STALE_SECONDS / 2
-        assert store.get(self._descriptor()) is not None
-        assert not lock.exists()
-
-    def test_kill9_mid_put_leaves_recoverable_store(self, tmp_path):
+    def test_kill9_mid_put_leaves_recoverable_store(self, tmp_path,
+                                                    monkeypatch):
         # SIGKILL a writer between the payload write and the rename: the
         # next producer must break the dead lock, rewrite the entry, and
         # leave no stale debris behind.
@@ -247,30 +246,15 @@ class TestTraceStoreIntegrity:
         worker.join()
         assert worker.exitcode == -signal.SIGKILL
         store = TraceStore(root=tmp_path)
-        lock = store._lock_path(store.path_for(descriptor))
+        lock = store.path_for(descriptor).with_suffix(".lock")
         assert lock.exists()                     # the crash orphaned it
         assert store.get(descriptor) is None     # no entry, not garbage
         self._put_one(store)                     # dead lock broken, rewritten
         assert store.get(descriptor) is not None
         assert not lock.exists()
-        store.TMP_STALE_SECONDS = 0.0
+        monkeypatch.setattr(repro.store, "TMP_STALE_SECONDS", -1.0)
         assert store.get({"kind": "other"}) is None  # miss sweeps debris
         assert not any(".tmp" in p.name for p in tmp_path.iterdir())
-
-    def test_orphaned_tmp_is_aged_out_on_miss(self, tmp_path):
-        import os
-        import time
-
-        store = TraceStore(root=tmp_path)
-        old_tmp = tmp_path / "dead-writer.npz.tmp"
-        old_tmp.write_bytes(b"partial")
-        ancient = time.time() - store.TMP_STALE_SECONDS - 10
-        os.utime(old_tmp, (ancient, ancient))
-        fresh_tmp = tmp_path / "live-writer.npz.tmp"
-        fresh_tmp.write_bytes(b"in flight")
-        assert store.get(self._descriptor()) is None   # a miss sweeps
-        assert not old_tmp.exists()
-        assert fresh_tmp.exists()                # live writer untouched
 
 
 class TestCollectorMemory:
