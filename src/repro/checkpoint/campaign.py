@@ -20,9 +20,10 @@ Three sections, each a falsifiable claim about the checkpoint layer:
   named error, and ``load_latest`` must fall back to the older good
   generation (never load garbage).
 
-Exit semantics follow the other campaigns: 0 = all gates green,
-2 = a gate found a real divergence/recovery failure, 1 = the harness
-itself misbehaved (a job died in an unclassified way).
+:func:`verdict` decides both the CLI exit code and the
+``check_results --checkpoint`` gate: 0 = all gates green, 2 = a gate
+found a real divergence/recovery failure, 1 = the harness itself
+misbehaved (a job died in an unclassified way).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.core.config import MachineConfig
 from repro.core.processor import Machine
 from repro.harness.bench import REPO_ROOT, write_json_atomic
 from repro.harness.runner import Job, Runner
+from repro.harness.verdict import Verdict
 from repro.checkpoint.run import CheckpointStats, run_with_checkpoints
 from repro.checkpoint.state import (
     FORMAT,
@@ -479,17 +481,59 @@ def run_campaign(fuzz_seeds: int = 50,
     return payload
 
 
-def exit_code(payload: Dict[str, Any]) -> int:
-    """Map a campaign report to the documented exit taxonomy."""
-    if (payload["equivalence"]["diverged"]
-            or payload["chaos"]["diverged"]
-            or payload["chaos"]["resumes"] == 0
-            or not payload["corruption"]["ok"]):
-        return 2
-    if (payload["equivalence"]["harness_failures"]
-            or payload["chaos"]["harness_failures"]):
-        return 1
-    return 0
+def verdict(payload: Dict[str, Any]) -> Verdict:
+    """The report's verdict, for ``repro checkpoint`` and ``--checkpoint``.
+
+    All three gates of the module docstring must hold; the chaos gate
+    needs at least one *proven* resume (``resumes > 0``), and the
+    corruption gate at least one case.
+    """
+    result = Verdict()
+    for section in ("equivalence", "chaos", "corruption"):
+        if not isinstance(payload.get(section), dict):
+            result.incomplete.append(
+                f"checkpoint file: section '{section}' is missing or not "
+                "an object (partial or interrupted campaign?)")
+    if result.incomplete:
+        return result
+    equivalence = payload["equivalence"]
+    if equivalence.get("diverged"):
+        result.findings.append(
+            f"checkpoint file: {equivalence['diverged']} restore-"
+            "equivalence case(s) diverged from the straight run "
+            "(see the report's 'equivalence.failures')")
+    if equivalence.get("harness_failures"):
+        result.harness.append(
+            f"checkpoint file: {equivalence['harness_failures']} "
+            "equivalence job(s) failed in the harness")
+    chaos = payload["chaos"]
+    if not chaos.get("resumes"):
+        result.findings.append(
+            "checkpoint file: chaos gate recorded zero resumes -- no "
+            "killed job provably restarted from a snapshot")
+    if chaos.get("diverged"):
+        result.findings.append(
+            f"checkpoint file: {chaos['diverged']} chaos job(s) merged "
+            "results that differ from the serial uninterrupted reference")
+    if chaos.get("harness_failures"):
+        result.harness.append(
+            f"checkpoint file: {chaos['harness_failures']} chaos job(s) "
+            "failed in the harness")
+    cases = payload["corruption"].get("cases")
+    if not isinstance(cases, list) or not cases:
+        result.findings.append("checkpoint file: section 'corruption' has "
+                               "no cases")
+        return result
+    for case in cases:
+        if not isinstance(case, dict):
+            result.findings.append(f"checkpoint file: corruption case "
+                                   f"{case!r} is not an object")
+        elif case.get("status") != "ok":
+            result.findings.append(
+                f"checkpoint file: corruption case "
+                f"'{case.get('case')}' ended '{case.get('status')}' "
+                f"({case.get('error')})")
+    return result
 
 
 def format_summary(payload: Dict[str, Any]) -> str:

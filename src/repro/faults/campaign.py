@@ -11,22 +11,25 @@ mid-job (``ChaosMonkey``), and the runner's backoff-retry/merge path has
 to deliver the same verdicts regardless -- the report's ``harness``
 section records exactly what the runner had to absorb.
 
-Exit semantics (used by the CLI): a campaign *fails* only when a job
-ends in an unhandled state (``error``/``timeout``/``crashed``) -- that
-would mean a fault escaped the model as a Python crash.  Classified
-invariant violations are a *finding*, reported separately: the checker
-did its job.
+Exit semantics: :func:`verdict` judges this report and the
+``--multi-nodes`` one (:mod:`repro.faults.multi`), and the CLI exits
+with :func:`repro.harness.verdict.exit_code`.  A classified invariant
+violation is a *finding* (exit 2): the checker did its job.  A job that
+ends in an unhandled state (``error``/``timeout``/``crashed``) is a
+harness failure (exit 1): a fault may have escaped the model as a
+Python crash.  When a run has both, the finding wins and it exits 2.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.faults.invariants import differential_for_seed
 from repro.faults.plan import FAULT_CLASSES
 from repro.harness.bench import REPO_ROOT, write_json_atomic
 from repro.harness.runner import ChaosMonkey, Job, JobResult, Runner
+from repro.harness.verdict import Verdict
 
 DEFAULT_REPORT = REPO_ROOT / "FAULTS_campaign.json"
 
@@ -61,12 +64,18 @@ def campaign_jobs(seeds: int, quick: bool = False,
     return jobs
 
 
-def _aggregate(results: List[JobResult]) -> Dict[str, Any]:
+def aggregate(results: List[JobResult], fault_classes: Sequence[str],
+              counters: Sequence[str] = ("exceptions_taken",),
+              context: Sequence[str] = ()) -> Dict[str, Any]:
+    """Per-class rows from the jobs' differential verdicts: status
+    counts, summed ``counters``, max inflation, and each violation
+    tagged with its seed and the verdict's ``context`` fields."""
     per_class: Dict[str, Dict[str, Any]] = {}
-    for fault_class in FAULT_CLASSES:
+    for fault_class in fault_classes:
         per_class[fault_class] = {
             "runs": 0, "absorbed": 0, "not_triggered": 0, "violated": 0,
-            "exceptions_taken": 0, "max_inflation": 0, "violations": [],
+            "max_inflation": 0, "violations": [],
+            **{key: 0 for key in counters},
         }
     for result in results:
         if not result.ok or not isinstance(result.value, dict):
@@ -75,13 +84,21 @@ def _aggregate(results: List[JobResult]) -> Dict[str, Any]:
         row = per_class[verdict["fault_class"]]
         row["runs"] += 1
         row[verdict["status"].replace("-", "_")] += 1
-        row["exceptions_taken"] += verdict["exceptions_taken"]
+        for key in counters:
+            row[key] += verdict[key]
         row["max_inflation"] = max(row["max_inflation"],
                                    verdict["inflation"])
         for violation in verdict["violations"]:
             row["violations"].append(
-                {"seed": verdict["seed"], **violation})
+                {"seed": verdict["seed"],
+                 **{key: verdict[key] for key in context}, **violation})
     return {name: row for name, row in per_class.items() if row["runs"]}
+
+
+def summary_counts(classes: Dict[str, Any]) -> Dict[str, int]:
+    """Campaign-wide sums of the per-class status counts."""
+    return {key: sum(row[key] for row in classes.values())
+            for key in ("runs", "absorbed", "not_triggered", "violated")}
 
 
 def run_campaign(seeds: int = 32,
@@ -110,8 +127,7 @@ def run_campaign(seeds: int = 32,
     unhandled = {r.job_id: (r.error or r.status) for r in results
                  if not r.ok and r.status != "interrupted"}
     interrupted = sum(1 for r in results if r.status == "interrupted")
-    classes = _aggregate(results)
-    violated = sum(row["violated"] for row in classes.values())
+    classes = aggregate(results, FAULT_CLASSES)
     payload: Dict[str, Any] = {
         "schema": 1,
         "seeds": seeds,
@@ -119,11 +135,7 @@ def run_campaign(seeds: int = 32,
         "chaos_rate": chaos_rate,
         "complete": interrupted == 0,
         "summary": {
-            "runs": sum(row["runs"] for row in classes.values()),
-            "absorbed": sum(row["absorbed"] for row in classes.values()),
-            "not_triggered": sum(row["not_triggered"]
-                                 for row in classes.values()),
-            "violated": violated,
+            **summary_counts(classes),
             "unhandled_jobs": len(unhandled),
             "interrupted_jobs": interrupted,
             "retried_jobs": sum(1 for r in results
@@ -138,6 +150,21 @@ def run_campaign(seeds: int = 32,
     write_json_atomic(path, payload)
     payload["report_path"] = str(path)
     return payload
+
+
+def verdict(payload: Dict[str, Any]) -> Verdict:
+    """The report's verdict, for ``repro faults`` (with or without
+    ``--multi-nodes``): violations are findings, unhandled jobs are
+    harness failures."""
+    summary = payload["summary"]
+    result = Verdict()
+    if summary["violated"]:
+        result.findings.append(f"{summary['violated']} invariant "
+                               "violation(s) classified (see report)")
+    if summary["unhandled_jobs"]:
+        result.harness.append(f"{summary['unhandled_jobs']} campaign "
+                              "job(s) failed in the harness (see report)")
+    return result
 
 
 def format_summary(payload: Dict[str, Any]) -> str:

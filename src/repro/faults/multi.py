@@ -33,9 +33,10 @@ import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
+from repro.faults.campaign import aggregate, summary_counts
 from repro.faults.plan import WARMUP_CYCLES
 from repro.harness.bench import REPO_ROOT, write_json_atomic
-from repro.harness.runner import Job, JobResult, Runner
+from repro.harness.runner import Job, Runner
 from repro.lang.codegen import NODE_STACK_WORDS, STACK_TOP
 from repro.multi.system import MultiMachine
 from repro.workloads.parallel import QUICK_SIZES, parallel_program
@@ -202,30 +203,6 @@ def multi_campaign_jobs(seeds: int, nodes: int = DEFAULT_NODES,
     return jobs
 
 
-def _aggregate(results: List[JobResult]) -> Dict[str, Any]:
-    per_class: Dict[str, Dict[str, Any]] = {}
-    for fault_class in MULTI_FAULT_CLASSES:
-        per_class[fault_class] = {
-            "runs": 0, "absorbed": 0, "not_triggered": 0, "violated": 0,
-            "max_inflation": 0, "violations": [],
-        }
-    for result in results:
-        if not result.ok or not isinstance(result.value, dict):
-            continue
-        verdict = result.value
-        row = per_class[verdict["fault_class"]]
-        row["runs"] += 1
-        row[verdict["status"].replace("-", "_")] += 1
-        row["max_inflation"] = max(row["max_inflation"],
-                                   verdict["inflation"])
-        for violation in verdict["violations"]:
-            row["violations"].append(
-                {"seed": verdict["seed"],
-                 "workload": verdict["workload"],
-                 "victim": verdict["victim"], **violation})
-    return {name: row for name, row in per_class.items() if row["runs"]}
-
-
 def run_multi_campaign(seeds: int = 16,
                        nodes: int = DEFAULT_NODES,
                        workers: Optional[int] = None,
@@ -235,8 +212,9 @@ def run_multi_campaign(seeds: int = 16,
                        ) -> Dict[str, Any]:
     """Fan the node-fault grid across the Runner; persist the report.
 
-    Same exit taxonomy as the single-node campaign: an ``unhandled`` job
-    is a harness/model crash; a classified violation is a finding.
+    Judged by :func:`repro.faults.campaign.verdict`, like the
+    single-node report: an ``unhandled`` job is a harness/model crash; a
+    classified violation is a finding.
     """
     jobs = multi_campaign_jobs(seeds, nodes=nodes, quick=quick)
     runner = Runner(max_workers=workers, default_timeout=JOB_TIMEOUT)
@@ -244,18 +222,15 @@ def run_multi_campaign(seeds: int = 16,
 
     unhandled = {r.job_id: (r.error or r.status) for r in results
                  if not r.ok}
-    classes = _aggregate(results)
+    classes = aggregate(results, MULTI_FAULT_CLASSES, counters=(),
+                        context=("workload", "victim"))
     payload: Dict[str, Any] = {
         "schema": 1,
         "seeds": seeds,
         "nodes": nodes,
         "quick": quick,
         "summary": {
-            "runs": sum(row["runs"] for row in classes.values()),
-            "absorbed": sum(row["absorbed"] for row in classes.values()),
-            "not_triggered": sum(row["not_triggered"]
-                                 for row in classes.values()),
-            "violated": sum(row["violated"] for row in classes.values()),
+            **summary_counts(classes),
             "unhandled_jobs": len(unhandled),
         },
         "classes": classes,

@@ -18,13 +18,14 @@ campaign, not a resume).
 and submission stops once the budget is spent (finished work is already
 journaled, so the next invocation picks up where this one stopped).
 
-Exit semantics (used by the CLI): **0** all models agree, **1** a job
-died in the harness (error/timeout/crashed -- infrastructure, not a
-finding), **2** the oracle observed a real, unexplained divergence.
-Divergences produced by a planted ``--mutate`` bug are self-test
-findings, not real ones; they are reported but exit 0 -- and inversely,
-a completed mutation campaign that caught *nothing* exits 2, because
-the oracle just missed a bug it was planted to find.
+:func:`verdict` decides both the CLI exit code and the ``check_results
+--fuzz-file`` gate: **0** all models agree, **1** a job died in the
+harness (error/timeout/crashed -- infrastructure, not a finding), **2**
+the oracle observed a real, unexplained divergence.  Divergences
+produced by a planted ``--mutate`` bug are self-test findings, not real
+ones; they are reported but exit 0 -- and inversely, a completed
+mutation campaign that caught *nothing* exits 2, because the oracle
+just missed a bug it was planted to find.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.fuzz.oracle import PAIR_GOLDEN_PIPELINE, check_all
 from repro.fuzz.shrink import count_instructions, shrink
 from repro.harness.bench import REPO_ROOT, write_json_atomic
 from repro.harness.runner import ChaosMonkey, Job, Runner
+from repro.harness.verdict import Verdict
 
 DEFAULT_REPORT = REPO_ROOT / "FUZZ_campaign.json"
 
@@ -290,18 +292,56 @@ def run_campaign(seeds: int = 50,
     return payload
 
 
-def exit_code(payload: Dict[str, Any]) -> int:
-    """Map a campaign report to the documented exit taxonomy."""
-    if payload["config"].get("mutation"):
-        # self-test: divergences are *expected*; a completed campaign
-        # that caught nothing means the oracle missed the planted bug
-        if payload.get("complete") and not payload["totals"]["diverged"]:
-            return 2
-    elif payload["totals"]["diverged"]:
-        return 2
-    if payload["totals"]["harness_failures"]:
-        return 1
-    return 0
+#: keys a complete fuzz campaign report must carry
+TOTALS_KEYS = ("jobs", "completed", "ok", "diverged", "harness_failures")
+
+
+def verdict(payload: Dict[str, Any]) -> Verdict:
+    """The report's verdict, for ``repro fuzz`` and ``--fuzz-file``.
+
+    Divergences under a planted mutation are expected and not a
+    finding; a complete mutation campaign that caught nothing is one.
+    An incomplete (budgeted) campaign exits 0 but fails the gate.
+    """
+    result = Verdict()
+    totals = payload.get("totals")
+    if not isinstance(totals, dict):
+        result.incomplete.append(
+            "fuzz file: section 'totals' is missing or not an object "
+            "(partial or interrupted campaign?)")
+        return result
+    for key in TOTALS_KEYS:
+        if key not in totals:
+            result.incomplete.append(f"fuzz file: section 'totals' is "
+                                     f"missing key '{key}'")
+    config = payload.get("config", {})
+    if not isinstance(config, dict):
+        result.incomplete.append("fuzz file: section 'config' is not an "
+                                 "object")
+    if result.incomplete:
+        return result
+    if not payload.get("complete", False):
+        result.incomplete.append(
+            f"fuzz file: campaign incomplete "
+            f"({totals['completed']}/{totals['jobs']} jobs; resume it "
+            "by rerunning the same `repro fuzz` command)")
+    if totals["diverged"] and not config.get("mutation"):
+        result.findings.append(
+            f"fuzz file: {totals['diverged']} unexplained model "
+            "divergence(s) recorded (see the report's 'divergences')")
+    if (config.get("mutation") and payload.get("complete")
+            and not totals["diverged"]):
+        result.findings.append(
+            f"fuzz file: planted mutation {config['mutation']!r} was not "
+            "caught -- the oracle failed its self-test")
+    if totals["harness_failures"]:
+        result.harness.append(
+            f"fuzz file: {totals['harness_failures']} campaign job(s) "
+            "failed in the harness (see the report's 'harness')")
+    if not isinstance(payload.get("divergences"), list):
+        result.incomplete.append("fuzz file: section 'divergences' is "
+                                 "missing or not a list")
+    return result
 
 
 def format_summary(payload: Dict[str, Any]) -> str:

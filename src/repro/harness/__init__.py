@@ -12,7 +12,9 @@ those points in parallel:
   functions and the sweep grids built from them;
 * :mod:`repro.harness.bench` -- benchmark telemetry: core ``cycles/sec``
   and sweep wall-clock, persisted to ``BENCH_pipeline.json`` at the repo
-  root so every PR leaves a perf trajectory.
+  root so every PR leaves a perf trajectory;
+* :mod:`repro.harness.verdict` -- the one campaign verdict and exit
+  code shared by the campaign commands and the ``check_results`` gates.
 """
 
 from repro.harness.experiments import (EXPERIMENT_SWEEPS, default_jobs,

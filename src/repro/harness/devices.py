@@ -14,10 +14,10 @@ Standing CI gate for the software stack of ROADMAP item 5 (see
   (quiescent drain, JSON round-trip, restore into a fresh machine) and
   finishes; log and counters must match the straight run bit-for-bit.
 
-:func:`run_devices_gate` writes the ``DEVICES_results.json`` report the
-``repro devices`` CLI command and the ``check_results.py --devices``
-gate consume.  Exit taxonomy (shared with the other campaigns): 0 =
-every demo held, 1 = harness failure, 2 = a comparison failed.
+:func:`run_devices_gate` writes the ``DEVICES_results.json`` report;
+:func:`verdict` judges it for both the ``repro devices`` exit code and
+the ``check_results.py --devices`` gate: 0 = every demo held, 1 =
+harness failure, 2 = a comparison failed.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core import Machine, perfect_memory_config
 from repro.harness.bench import write_json_atomic
+from repro.harness.verdict import Verdict
 from repro.workloads.kernel import (KERNEL_DEMOS, KernelRun,
                                     build_kernel_program, run_kernel_demo)
 
@@ -149,14 +150,74 @@ def run_devices_gate(quick: bool = False,
     return payload
 
 
-def exit_code(payload: Dict[str, Any]) -> int:
-    """Map a gate payload to the shared campaign exit taxonomy."""
-    summary = payload["summary"]
-    if summary["harness_failures"]:
-        return 1
-    if summary["failed"] or summary["ok"] != summary["demos"]:
-        return 2
-    return 0
+#: keys every demo row must carry
+ROW_KEYS = ("uart_log", "cycles", "interrupts", "expected_ok", "halted",
+            "jit", "checkpoint", "ok")
+
+
+def verdict(payload: Dict[str, Any]) -> Verdict:
+    """The report's verdict, for ``repro devices`` and ``--devices``: each
+    demo's three legs (boot, jit, checkpoint; see the module docstring)
+    must hold."""
+    result = Verdict()
+    demos = payload.get("demos")
+    summary = payload.get("summary")
+    if not isinstance(demos, dict) or not demos:
+        result.incomplete.append("devices file: section 'demos' is missing "
+                                 "or empty (partial or interrupted gate "
+                                 "run?)")
+    if not isinstance(summary, dict):
+        result.incomplete.append("devices file: section 'summary' is "
+                                 "missing or not an object")
+        return result
+    harness_failures = summary.get("harness_failures", [])
+    if not isinstance(harness_failures, list):
+        result.incomplete.append("devices file: summary "
+                                 "'harness_failures' is not a list")
+        harness_failures = []
+    for failure in harness_failures:
+        result.harness.append(f"devices file: harness failure: {failure}")
+    if result.incomplete:
+        return result
+    for name, row in sorted(demos.items()):
+        if not isinstance(row, dict):
+            result.incomplete.append(f"devices file: demo '{name}' row is "
+                                     "not an object")
+            continue
+        missing = [key for key in ROW_KEYS if key not in row]
+        if missing:
+            result.incomplete.append(f"devices file: demo '{name}' is "
+                                     f"missing {missing}")
+            continue
+        legs = [key for key in ("jit", "checkpoint")
+                if not isinstance(row[key], dict)]
+        if legs:
+            result.incomplete.append(f"devices file: demo '{name}' "
+                                     f"{legs} must be objects")
+            continue
+        findings = result.findings
+        if not row["halted"]:
+            findings.append(f"devices file: demo '{name}' did not halt")
+        if not row["expected_ok"]:
+            findings.append(
+                f"devices file: demo '{name}' boot log differs from its "
+                f"pinned golden log (got {row['uart_log']!r})")
+        if not row["interrupts"]:
+            findings.append(f"devices file: demo '{name}' delivered zero "
+                            "interrupts (nothing was preempted)")
+        if not row["jit"].get("ok"):
+            findings.append(f"devices file: demo '{name}' diverged under "
+                            "the translated fast path")
+        if not row["jit"].get("blocks_compiled"):
+            findings.append(f"devices file: demo '{name}' compiled no "
+                            "blocks under the JIT (fast path never "
+                            "engaged)")
+        if not row["checkpoint"].get("ok"):
+            findings.append(
+                f"devices file: demo '{name}' diverged across "
+                f"checkpoint/restore (snapshot at cycle "
+                f"{row['checkpoint'].get('snapshot_cycle')})")
+    return result
 
 
 def format_summary(payload: Dict[str, Any]) -> str:

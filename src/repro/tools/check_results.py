@@ -17,54 +17,28 @@ The full derivations still live in ``pytest benchmarks/``; this script
 trades trace length for wall-clock (the shapes are stable well below the
 benchmark trace lengths) so it can run on every push.
 
-With ``--bench-file PATH`` the script additionally validates the named
-sections of a ``BENCH_pipeline.json`` telemetry file and reports each
-missing or malformed section by name -- a partial file (crashed bench
-run, hand-edited payload) fails with a readable message instead of a
-``KeyError`` traceback.  ``--fuzz-file PATH`` does the same for a
-``FUZZ_campaign.json`` fuzzing report, additionally failing when the
-campaign itself recorded unexplained divergences or harness failures
-(so CI can gate on the artifact alone).  ``--metrics-file PATH`` audits
-an aggregated ``METRICS_summary.json`` (see :mod:`repro.telemetry`):
-counter-derived CPI must equal the analysis-module CPI for every
-workload, and the counter accounting identities must hold on each
-snapshot and on the suite totals.  ``--multi PATH`` validates the
-``multi`` section a ``repro bench --multi`` run writes: every scaling
-point self-checked, results bit-equal to the single-node reference,
-``speedup(N=1) == 1.0``, bus contention monotone in the node count, and
-a psieve speedup floor at 4 nodes.  ``--jit PATH`` validates the
-``jit`` section: the translated fast path must be cycle-exact against
-the interpreter on every benchmarked workload and meet the speedup
-floors (:data:`JIT_SPEEDUP_FLOOR` aggregate,
-:data:`JIT_WORKLOAD_SPEEDUP_FLOOR` per workload).
+Each flag in :data:`GATES` also gates one report artifact and names
+every problem instead of raising; ``--help`` lists them.  A campaign
+report is judged by its campaign's own ``verdict``, the same one that
+sets the campaign command's exit code.
 
 Usage::
 
     PYTHONPATH=src python -m repro.tools.check_results [--trace-length N]
-        [--bench-file BENCH_pipeline.json] [--fuzz-file FUZZ_campaign.json]
-        [--metrics-file METRICS_summary.json] [--multi BENCH_pipeline.json]
-        [--jit BENCH_pipeline.json] [--checkpoint CHECKPOINT_campaign.json]
-        [--devices DEVICES_results.json]
-
-``--checkpoint PATH`` validates a ``CHECKPOINT_campaign.json`` recovery
-report (see :mod:`repro.checkpoint.campaign`): every restore-equivalence
-case bit-identical, the chaos gate with at least one proven resume, and
-every snapshot-corruption case rejected with its named error.
-
-``--devices PATH`` validates a ``DEVICES_results.json`` software-stack
-gate report (see :mod:`repro.harness.devices`): every kernel-lite demo
-booted to its pinned golden UART log with interrupts delivered,
-bit-exact under the JIT (with blocks actually compiled), and
-bit-identical across a mid-boot checkpoint/restore.
+        [--<gate flag> PATH ...]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
-from typing import Callable, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+
+from repro.checkpoint.campaign import verdict as checkpoint_verdict
+from repro.fuzz.campaign import verdict as fuzz_verdict
+from repro.harness.devices import verdict as devices_verdict
+from repro.harness.verdict import load_report
 
 DEFAULT_TRACE_LENGTH = 150_000
 
@@ -77,23 +51,13 @@ BENCH_SECTIONS = {
 }
 
 
-def check_bench_file(path: pathlib.Path) -> List[str]:
+def check_bench(payload: Dict[str, Any]) -> List[str]:
     """Validate the named sections of a bench telemetry file.
 
     Every problem is reported against the *section name* so a partial
     write or schema drift reads as "section 'sweep' is missing", never as
     a bare ``KeyError: 'sweep'``.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"bench file {path} does not exist (run `repro bench`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"bench file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"bench file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
     failures = []
     for section, required_keys in BENCH_SECTIONS.items():
         if section not in payload:
@@ -130,7 +94,7 @@ JIT_SPEEDUP_FLOOR = 5.0
 JIT_WORKLOAD_SPEEDUP_FLOOR = 3.0
 
 
-def check_jit_section(path: pathlib.Path) -> List[str]:
+def check_jit(payload: Dict[str, Any]) -> List[str]:
     """Validate the ``jit`` section of a bench telemetry file.
 
     Three gates, in order of importance:
@@ -144,14 +108,7 @@ def check_jit_section(path: pathlib.Path) -> List[str]:
     * **coverage sanity** -- blocks compiled and entries taken are
       non-zero (a jit that never fires "passes" equivalence trivially).
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"bench file {path} does not exist (run `repro bench`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"bench file {path} is not valid JSON: {exc}"]
-    section = payload.get("jit") if isinstance(payload, dict) else None
+    section = payload.get("jit")
     if not isinstance(section, dict):
         return ["bench file: section 'jit' is missing "
                 "(run `repro bench` with the translated fast path built)"]
@@ -175,9 +132,10 @@ def check_jit_section(path: pathlib.Path) -> List[str]:
             failures.append(f"jit: workload '{name}' is not cycle-exact "
                             "(jit vs interpreter counts diverged)")
         row_speedup = row.get("speedup", 0.0)
-        if row_speedup < JIT_WORKLOAD_SPEEDUP_FLOOR:
+        if (not isinstance(row_speedup, (int, float))
+                or row_speedup < JIT_WORKLOAD_SPEEDUP_FLOOR):
             failures.append(
-                f"jit: workload '{name}' speedup {row_speedup} is below "
+                f"jit: workload '{name}' speedup {row_speedup!r} is below "
                 f"the {JIT_WORKLOAD_SPEEDUP_FLOOR}x floor")
         if not row.get("blocks_compiled"):
             failures.append(f"jit: workload '{name}' compiled no blocks "
@@ -192,11 +150,11 @@ def check_jit_section(path: pathlib.Path) -> List[str]:
 METRICS_KEYS = ("per_workload", "analysis", "totals", "derived")
 
 
-def check_metrics_file(path: pathlib.Path) -> List[str]:
+def check_metrics(payload: Dict[str, Any]) -> List[str]:
     """Validate a ``METRICS_summary.json`` aggregate and its identities.
 
     Structural problems read as named-section messages (like
-    :func:`check_bench_file`).  A structurally sound summary still fails
+    :func:`check_bench`).  A structurally sound summary still fails
     when the telemetry is inconsistent:
 
     * **CPI identity** -- each workload's counter-derived CPI
@@ -213,16 +171,6 @@ def check_metrics_file(path: pathlib.Path) -> List[str]:
     from repro.telemetry.metrics import (check_counter_consistency,
                                          derived_from_counters)
 
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"metrics file {path} does not exist (run `repro bench`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"metrics file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"metrics file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
     failures = []
     for key in METRICS_KEYS:
         if not isinstance(payload.get(key), dict):
@@ -279,11 +227,11 @@ MULTI_ROW_KEYS = ("workload", "nodes", "bus_latency", "invalidation",
 MULTI_PSIEVE_N4_SPEEDUP = 1.2
 
 
-def check_multi_file(path: pathlib.Path) -> List[str]:
+def check_multi(payload: Dict[str, Any]) -> List[str]:
     """Validate the ``multi`` section of a bench telemetry file.
 
     Structural problems read as named-section messages (like
-    :func:`check_bench_file`, never a ``KeyError`` traceback).  A
+    :func:`check_bench`, never a ``KeyError`` traceback).  A
     structurally sound section still fails when the multiprocessor
     results are wrong:
 
@@ -302,17 +250,6 @@ def check_multi_file(path: pathlib.Path) -> List[str]:
       invalidation on) reaches 4 nodes, its speedup must clear
       :data:`MULTI_PSIEVE_N4_SPEEDUP`.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"multi file {path} does not exist "
-                "(run `repro bench --multi`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"multi file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"multi file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
     multi = payload.get("multi")
     if not isinstance(multi, dict):
         return ["multi file: section 'multi' is missing or not an object "
@@ -323,6 +260,10 @@ def check_multi_file(path: pathlib.Path) -> List[str]:
             failures.append(f"multi file: section 'multi' is missing "
                             f"key '{key}'")
     if failures:
+        return failures
+    if not isinstance(multi["failures"], list):
+        failures.append("multi file: section 'multi' key 'failures' is "
+                        "not a list")
         return failures
     for job_id in multi["failures"]:
         failures.append(f"multi file: scaling point '{job_id}' failed "
@@ -396,220 +337,6 @@ def check_multi_file(path: pathlib.Path) -> List[str]:
                     f"multi file: curve '{label}' speedup at 4 nodes is "
                     f"{measured}, below the {MULTI_PSIEVE_N4_SPEEDUP} "
                     "floor (bus or barrier regression)")
-    return failures
-
-
-#: keys a complete fuzz campaign report must carry
-FUZZ_TOTALS_KEYS = ("jobs", "completed", "ok", "diverged",
-                    "harness_failures")
-
-
-def check_fuzz_file(path: pathlib.Path) -> List[str]:
-    """Validate a ``FUZZ_campaign.json`` report and its verdict.
-
-    Structural problems read as named-section messages (like
-    :func:`check_bench_file`); a structurally sound report still fails
-    when the campaign is incomplete, diverged without a planted
-    mutation, or lost jobs to the harness.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"fuzz file {path} does not exist (run `repro fuzz`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"fuzz file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"fuzz file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    failures = []
-    totals = payload.get("totals")
-    if not isinstance(totals, dict):
-        failures.append("fuzz file: section 'totals' is missing or not "
-                        "an object (partial or interrupted campaign?)")
-        return failures
-    for key in FUZZ_TOTALS_KEYS:
-        if key not in totals:
-            failures.append(f"fuzz file: section 'totals' is missing "
-                            f"key '{key}'")
-    if failures:
-        return failures
-    if not payload.get("complete", False):
-        failures.append(
-            f"fuzz file: campaign incomplete "
-            f"({totals['completed']}/{totals['jobs']} jobs; resume it "
-            "by rerunning the same `repro fuzz` command)")
-    config = payload.get("config", {})
-    if totals["diverged"] and not config.get("mutation"):
-        failures.append(
-            f"fuzz file: {totals['diverged']} unexplained model "
-            "divergence(s) recorded (see the report's 'divergences')")
-    if (config.get("mutation") and payload.get("complete")
-            and not totals["diverged"]):
-        failures.append(
-            f"fuzz file: planted mutation {config['mutation']!r} was not "
-            "caught -- the oracle failed its self-test")
-    if totals["harness_failures"]:
-        failures.append(
-            f"fuzz file: {totals['harness_failures']} campaign job(s) "
-            "failed in the harness (see the report's 'harness')")
-    divergences = payload.get("divergences")
-    if not isinstance(divergences, list):
-        failures.append("fuzz file: section 'divergences' is missing or "
-                        "not a list")
-    return failures
-
-
-def check_checkpoint_file(path: pathlib.Path) -> List[str]:
-    """Validate a ``CHECKPOINT_campaign.json`` report and its verdict.
-
-    Structural problems read as named-section messages (like
-    :func:`check_bench_file`); a structurally sound report still fails
-    when any recovery gate failed:
-
-    * **equivalence** -- every restore-equivalence case bit-identical
-      (no divergences, no harness failures);
-    * **chaos** -- no diverged merges, no harness failures, and at
-      least one job *provably resumed* from a snapshot
-      (``resumes > 0``: a chaos gate where nothing ever resumes tests
-      nothing);
-    * **corruption** -- every tamper case rejected with its named error
-      and fallen back to a good generation.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"checkpoint file {path} does not exist "
-                "(run `repro checkpoint`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"checkpoint file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"checkpoint file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    failures = []
-    for section in ("equivalence", "chaos", "corruption"):
-        if not isinstance(payload.get(section), dict):
-            failures.append(
-                f"checkpoint file: section '{section}' is missing or not "
-                "an object (partial or interrupted campaign?)")
-    if failures:
-        return failures
-    equivalence = payload["equivalence"]
-    if equivalence.get("diverged"):
-        failures.append(
-            f"checkpoint file: {equivalence['diverged']} restore-"
-            "equivalence case(s) diverged from the straight run "
-            "(see the report's 'equivalence.failures')")
-    if equivalence.get("harness_failures"):
-        failures.append(
-            f"checkpoint file: {equivalence['harness_failures']} "
-            "equivalence job(s) failed in the harness")
-    chaos = payload["chaos"]
-    if not chaos.get("resumes"):
-        failures.append(
-            "checkpoint file: chaos gate recorded zero resumes -- no "
-            "killed job provably restarted from a snapshot")
-    if chaos.get("diverged"):
-        failures.append(
-            f"checkpoint file: {chaos['diverged']} chaos job(s) merged "
-            "results that differ from the serial uninterrupted reference")
-    if chaos.get("harness_failures"):
-        failures.append(
-            f"checkpoint file: {chaos['harness_failures']} chaos job(s) "
-            "failed in the harness")
-    corruption = payload["corruption"]
-    cases = corruption.get("cases")
-    if not isinstance(cases, list) or not cases:
-        failures.append("checkpoint file: section 'corruption' has no "
-                        "cases")
-    else:
-        for case in cases:
-            if case.get("status") != "ok":
-                failures.append(
-                    f"checkpoint file: corruption case "
-                    f"'{case.get('case')}' ended '{case.get('status')}' "
-                    f"({case.get('error')})")
-    return failures
-
-
-#: keys every devices-gate demo row must carry
-DEVICES_ROW_KEYS = ("uart_log", "cycles", "interrupts", "expected_ok",
-                    "halted", "jit", "checkpoint", "ok")
-
-
-def check_devices_file(path: pathlib.Path) -> List[str]:
-    """Validate a ``DEVICES_results.json`` software-stack gate report.
-
-    Structural problems read as named-section messages (like
-    :func:`check_bench_file`).  A structurally sound report still
-    fails when any demo's gate did not hold:
-
-    * **boot** -- the demo halted and its UART log equals the pinned
-      golden log, with at least one delivered interrupt (a boot that
-      never preempts tests nothing);
-    * **jit** -- the translated-fast-path run was bit-exact (log,
-      cycles, instructions) and compiled at least one block;
-    * **checkpoint** -- the mid-boot snapshot/restore run finished
-      bit-identical to the straight run.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"devices file {path} does not exist "
-                "(run `repro devices`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"devices file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"devices file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    failures = []
-    demos = payload.get("demos")
-    summary = payload.get("summary")
-    if not isinstance(demos, dict) or not demos:
-        failures.append("devices file: section 'demos' is missing or "
-                        "empty (partial or interrupted gate run?)")
-    if not isinstance(summary, dict):
-        failures.append("devices file: section 'summary' is missing or "
-                        "not an object")
-    if failures:
-        return failures
-    for failure in summary.get("harness_failures", []):
-        failures.append(f"devices file: harness failure: {failure}")
-    for name, row in sorted(demos.items()):
-        if not isinstance(row, dict):
-            failures.append(f"devices file: demo '{name}' row is not an "
-                            "object")
-            continue
-        missing = [key for key in DEVICES_ROW_KEYS if key not in row]
-        if missing:
-            failures.append(f"devices file: demo '{name}' is missing "
-                            f"{missing}")
-            continue
-        if not row["halted"]:
-            failures.append(f"devices file: demo '{name}' did not halt")
-        if not row["expected_ok"]:
-            failures.append(
-                f"devices file: demo '{name}' boot log differs from its "
-                f"pinned golden log (got {row['uart_log']!r})")
-        if not row["interrupts"]:
-            failures.append(f"devices file: demo '{name}' delivered zero "
-                            "interrupts (nothing was preempted)")
-        jit = row["jit"]
-        if not jit.get("ok"):
-            failures.append(f"devices file: demo '{name}' diverged under "
-                            "the translated fast path")
-        if not jit.get("blocks_compiled"):
-            failures.append(f"devices file: demo '{name}' compiled no "
-                            "blocks under the JIT (fast path never "
-                            "engaged)")
-        ckpt = row["checkpoint"]
-        if not ckpt.get("ok"):
-            failures.append(
-                f"devices file: demo '{name}' diverged across "
-                f"checkpoint/restore (snapshot at cycle "
-                f"{ckpt.get('snapshot_cycle')})")
     return failures
 
 
@@ -767,6 +494,78 @@ CHECKS: List[Tuple[str, Callable[[int], List[str]]]] = [
 ]
 
 
+class Gate(NamedTuple):
+    """One report gate: its status-line title, ``--help`` text, how its
+    messages name the file (``label``, and the ``command`` that writes
+    it), and the ``check`` run on the loaded payload."""
+
+    title: str
+    help: str
+    label: str
+    command: str
+    check: Callable[[Dict[str, Any]], List[str]]
+
+    def run(self, path) -> List[str]:
+        """Load the report at ``path`` and return every failure."""
+        payload, failures = load_report(path, self.label, self.command)
+        return failures if payload is None else self.check(payload)
+
+
+#: the report gates by flag, in the order their status lines print
+GATES: Dict[str, Gate] = {
+    "--bench-file": Gate(
+        "bench telemetry file structure",
+        "also validate the named sections of a bench telemetry file "
+        "(BENCH_pipeline.json)",
+        "bench file", "repro bench", check_bench),
+    "--metrics-file": Gate(
+        "metrics summary consistency",
+        "also audit an aggregated metrics summary (METRICS_summary.json): "
+        "counter-derived CPI must equal the analysis CPI, and the "
+        "accounting identities must hold",
+        "metrics file", "repro bench", check_metrics),
+    "--fuzz-file": Gate(
+        "fuzz campaign report",
+        "also validate a fuzz campaign report (FUZZ_campaign.json): "
+        "structure, completeness, and a clean verdict",
+        "fuzz file", "repro fuzz",
+        lambda payload: fuzz_verdict(payload).messages),
+    "--jit": Gate(
+        "translated fast path (jit) section",
+        "also validate the 'jit' section of a bench telemetry file: "
+        "cycle-exact equivalence, speedup floors, non-zero block coverage",
+        "bench file", "repro bench", check_jit),
+    "--multi": Gate(
+        "multiprocessor scaling section",
+        "also validate the 'multi' section of a bench telemetry file: "
+        "self-checks, node-count invariant results, speedup(N=1)==1.0, "
+        "monotone bus contention, psieve N=4 speedup",
+        "multi file", "repro bench --multi", check_multi),
+    "--checkpoint": Gate(
+        "checkpoint recovery gates",
+        "also validate a checkpoint campaign report "
+        "(CHECKPOINT_campaign.json): restore equivalence, chaos resumes "
+        "> 0, and every corruption case rejected",
+        "checkpoint file", "repro checkpoint",
+        lambda payload: checkpoint_verdict(payload).messages),
+    "--devices": Gate(
+        "devices gate report",
+        "also validate a devices gate report (DEVICES_results.json): "
+        "pinned boot logs, interrupts delivered, JIT bit-exact, "
+        "checkpoint/restore bit-identical",
+        "devices file", "repro devices",
+        lambda payload: devices_verdict(payload).messages),
+}
+
+
+def _report(title: str, failures: List[str]) -> List[str]:
+    status = "ok" if not failures else "FAIL"
+    print(f"[{status:>4}] {title}")
+    for failure in failures:
+        print(f"       - {failure}")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="check_results",
@@ -774,103 +573,18 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-length", type=int,
                         default=DEFAULT_TRACE_LENGTH,
                         help="synthetic trace length for the cache checks")
-    parser.add_argument("--bench-file", type=pathlib.Path, default=None,
-                        metavar="PATH",
-                        help="also validate the named sections of a bench "
-                             "telemetry file (BENCH_pipeline.json)")
-    parser.add_argument("--fuzz-file", type=pathlib.Path, default=None,
-                        metavar="PATH",
-                        help="also validate a fuzz campaign report "
-                             "(FUZZ_campaign.json): structure, "
-                             "completeness, and a clean verdict")
-    parser.add_argument("--metrics-file", type=pathlib.Path, default=None,
-                        metavar="PATH",
-                        help="also audit an aggregated metrics summary "
-                             "(METRICS_summary.json): counter-derived CPI "
-                             "must equal the analysis CPI, and the "
-                             "accounting identities must hold")
-    parser.add_argument("--jit", dest="jit_file", type=pathlib.Path,
-                        default=None, metavar="PATH",
-                        help="also validate the 'jit' section of a bench "
-                             "telemetry file: cycle-exact equivalence, "
-                             "speedup floors, non-zero block coverage")
-    parser.add_argument("--multi", dest="multi_file", type=pathlib.Path,
-                        default=None, metavar="PATH",
-                        help="also validate the 'multi' section of a bench "
-                             "telemetry file: self-checks, node-count "
-                             "invariant results, speedup(N=1)==1.0, "
-                             "monotone bus contention, psieve N=4 speedup")
-    parser.add_argument("--checkpoint", dest="checkpoint_file",
-                        type=pathlib.Path, default=None, metavar="PATH",
-                        help="also validate a checkpoint campaign report "
-                             "(CHECKPOINT_campaign.json): restore "
-                             "equivalence, chaos resumes > 0, and every "
-                             "corruption case rejected")
-    parser.add_argument("--devices", dest="devices_file",
-                        type=pathlib.Path, default=None, metavar="PATH",
-                        help="also validate a devices gate report "
-                             "(DEVICES_results.json): pinned boot logs, "
-                             "interrupts delivered, JIT bit-exact, "
-                             "checkpoint/restore bit-identical")
+    for flag, gate in GATES.items():
+        parser.add_argument(flag, dest=flag, type=pathlib.Path,
+                            default=None, metavar="PATH", help=gate.help)
     args = parser.parse_args(argv)
 
     all_failures: List[str] = []
-    if args.bench_file is not None:
-        failures = check_bench_file(args.bench_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] bench telemetry file structure")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.metrics_file is not None:
-        failures = check_metrics_file(args.metrics_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] metrics summary consistency")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.fuzz_file is not None:
-        failures = check_fuzz_file(args.fuzz_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] fuzz campaign report")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.jit_file is not None:
-        failures = check_jit_section(args.jit_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] translated fast path (jit) section")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.multi_file is not None:
-        failures = check_multi_file(args.multi_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] multiprocessor scaling section")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.checkpoint_file is not None:
-        failures = check_checkpoint_file(args.checkpoint_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] checkpoint recovery gates")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.devices_file is not None:
-        failures = check_devices_file(args.devices_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] devices gate report")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
+    for flag, gate in GATES.items():
+        path = getattr(args, flag)
+        if path is not None:
+            all_failures += _report(gate.title, gate.run(path))
     for name, check in CHECKS:
-        failures = check(args.trace_length)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] {name}")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
+        all_failures += _report(name, check(args.trace_length))
     if all_failures:
         print(f"\n{len(all_failures)} paper-shape regression(s) detected",
               file=sys.stderr)

@@ -58,17 +58,12 @@ under ``.trace_cache/checkpoints/`` (see :mod:`repro.checkpoint`), and
 standing recovery gates -- restore equivalence, chaos resume, snapshot
 corruption -- and writes ``CHECKPOINT_campaign.json``.
 
-The campaign commands (``faults``, ``fuzz``, ``checkpoint``,
-``devices``) share one exit-code taxonomy, documented in full in
-the README:
-
-* **0** -- campaign ran and found nothing wrong;
-* **1** -- harness failure: a job errored/timed out/crashed (the
-  infrastructure broke, nothing is known about the models);
-* **2** -- a classified finding: an invariant violation (``faults``),
-  an unexplained model divergence (``fuzz``), a recovery-gate failure
-  (``checkpoint``), or a kernel demo that failed its gate
-  (``devices``).
+The campaign commands (``faults`` with or without ``--multi-nodes``,
+``fuzz``, ``checkpoint``, ``devices``) exit with their campaign's
+``verdict`` (:mod:`repro.harness.verdict`), the same one the
+``check_results`` gate judges the report by: **0** clean, **1** a
+harness failure, **2** a classified finding, which outranks a harness
+failure.  The README's exit table has the details.
 """
 
 from __future__ import annotations
@@ -81,6 +76,7 @@ from typing import List, Optional
 from repro.asm import assemble, listing, parse
 from repro.coproc import Fpu
 from repro.core import Machine, MachineConfig, perfect_memory_config
+from repro.harness.verdict import exit_code
 from repro.lang import compile_spl
 from repro.tools.pipeview import PipelineTracer
 
@@ -315,59 +311,42 @@ def cmd_bench(args) -> int:
     return 1 if failed else 0
 
 
+def _finish_campaign(payload, format_summary, verdict) -> int:
+    """Print a campaign's summary, report path and verdict messages
+    (to stderr); return the verdict's exit code."""
+    print(format_summary(payload))
+    print(f"report written to {payload['report_path']}")
+    judged = verdict(payload)
+    for message in judged.messages:
+        print(message, file=sys.stderr)
+    return exit_code(judged)
+
+
 def cmd_faults(args) -> int:
+    from repro.faults import campaign, multi
+
     if args.multi_nodes:
-        return _cmd_faults_multi(args)
-    from repro.faults.campaign import format_summary, run_campaign
-
-    payload = run_campaign(seeds=args.seeds,
-                           workers=args.workers,
-                           quick=args.quick,
-                           parallel=not args.serial,
-                           chaos_rate=args.chaos,
-                           chaos_seed=args.chaos_seed,
-                           output=args.output)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    summary = payload["summary"]
-    if summary["unhandled_jobs"]:
-        print(f"{summary['unhandled_jobs']} campaign job(s) failed in the "
-              "harness (see report)", file=sys.stderr)
-        return 1
-    if summary["violated"]:
-        print(f"{summary['violated']} invariant violation(s) classified "
-              "(see report)", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_faults_multi(args) -> int:
-    """``faults --multi-nodes N``: the node-level multiprocessor campaign
-    (same 0/1/2 exit taxonomy as the single-node campaign)."""
-    from repro.faults.multi import format_summary, run_multi_campaign
-
-    payload = run_multi_campaign(seeds=args.seeds,
-                                 nodes=args.multi_nodes,
-                                 workers=args.workers,
-                                 quick=args.quick,
-                                 parallel=not args.serial,
-                                 output=args.output)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    summary = payload["summary"]
-    if summary["unhandled_jobs"]:
-        print(f"{summary['unhandled_jobs']} campaign job(s) failed in the "
-              "harness (see report)", file=sys.stderr)
-        return 1
-    if summary["violated"]:
-        print(f"{summary['violated']} invariant violation(s) classified "
-              "(see report)", file=sys.stderr)
-        return 2
-    return 0
+        payload = multi.run_multi_campaign(seeds=args.seeds,
+                                           nodes=args.multi_nodes,
+                                           workers=args.workers,
+                                           quick=args.quick,
+                                           parallel=not args.serial,
+                                           output=args.output)
+        return _finish_campaign(payload, multi.format_summary,
+                                campaign.verdict)
+    payload = campaign.run_campaign(seeds=args.seeds,
+                                    workers=args.workers,
+                                    quick=args.quick,
+                                    parallel=not args.serial,
+                                    chaos_rate=args.chaos,
+                                    chaos_seed=args.chaos_seed,
+                                    output=args.output)
+    return _finish_campaign(payload, campaign.format_summary,
+                            campaign.verdict)
 
 
 def cmd_fuzz(args) -> int:
-    from repro.fuzz.campaign import exit_code, format_summary, run_campaign
+    from repro.fuzz.campaign import format_summary, run_campaign, verdict
 
     modes = args.modes.split(",") if args.modes else ("isa", "lang", "os")
     payload = run_campaign(seeds=args.seeds,
@@ -382,60 +361,27 @@ def cmd_fuzz(args) -> int:
                            output=args.output,
                            corpus_dir=args.corpus_dir,
                            write_corpus=not args.no_corpus)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    code = exit_code(payload)
-    if code == 2 and args.mutate:
-        print(f"planted mutation {args.mutate!r} was NOT caught -- the "
-              "oracle failed its self-test", file=sys.stderr)
-    elif code == 2:
-        print(f"{payload['totals']['diverged']} unexplained model "
-              "divergence(s) -- shrunk repros in the report and corpus",
-              file=sys.stderr)
-    elif code == 1:
-        print(f"{payload['totals']['harness_failures']} campaign job(s) "
-              "failed in the harness (see report)", file=sys.stderr)
-    return code
+    return _finish_campaign(payload, format_summary, verdict)
 
 
 def cmd_checkpoint(args) -> int:
-    from repro.checkpoint.campaign import (exit_code, format_summary,
-                                           run_campaign)
+    from repro.checkpoint.campaign import (format_summary, run_campaign,
+                                           verdict)
 
     payload = run_campaign(fuzz_seeds=args.fuzz_seeds,
                            workers=args.workers,
                            parallel=not args.serial,
                            quick=args.quick,
                            output=args.output)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    code = exit_code(payload)
-    if code == 2:
-        print("checkpoint recovery gate failed -- a restore diverged, a "
-              "killed job did not resume, or corruption was accepted "
-              "(see report)", file=sys.stderr)
-    elif code == 1:
-        print("campaign job(s) failed in the harness (see report)",
-              file=sys.stderr)
-    return code
+    return _finish_campaign(payload, format_summary, verdict)
 
 
 def cmd_devices(args) -> int:
-    from repro.harness.devices import (exit_code, format_summary,
-                                       run_devices_gate)
+    from repro.harness.devices import (format_summary, run_devices_gate,
+                                       verdict)
 
     payload = run_devices_gate(quick=args.quick, output=args.output)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    code = exit_code(payload)
-    if code == 1:
-        for failure in payload["summary"]["harness_failures"]:
-            print(f"harness failure: {failure}", file=sys.stderr)
-    elif code == 2:
-        print(f"demo(s) failed the gate: "
-              f"{', '.join(payload['summary']['failed'])} (see report)",
-              file=sys.stderr)
-    return code
+    return _finish_campaign(payload, format_summary, verdict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,6 +416,26 @@ def build_parser() -> argparse.ArgumentParser:
                             "--checkpoint-id before running")
         p.add_argument("--checkpoint-id", default=None, metavar="ID",
                        help="snapshot ladder name (default: cli)")
+
+    def campaign(p, report, finding, runner=True, chaos=False):
+        p.epilog = (f"Exit codes: 0 = clean, 1 = a campaign job failed in "
+                    f"the harness (infrastructure, not a finding), 2 = "
+                    f"{finding}; 2 wins over 1.")
+        p.add_argument("--output", default=None, metavar="PATH",
+                       help=f"report file (default: {report} at the repo "
+                            "root)")
+        if runner:
+            p.add_argument("--workers", type=int, default=None,
+                           help="parallel worker processes (default: CPUs)")
+            p.add_argument("--serial", action="store_true",
+                           help="run campaign jobs in-process")
+        if chaos:
+            p.add_argument("--chaos", type=float, default=0.0,
+                           metavar="RATE",
+                           help="kill this fraction of first-attempt "
+                                "workers mid-job (chaos test of the runner)")
+            p.add_argument("--chaos-seed", type=int, default=0,
+                           help="seed for the chaos kill selection")
 
     p_run = sub.add_parser("run", help="assemble and run a .s file")
     p_run.add_argument("file")
@@ -576,31 +542,18 @@ def build_parser() -> argparse.ArgumentParser:
              "FAULTS_campaign.json",
         description="Inject seeded hardware-fault plans into pipeline "
                     "runs and check architectural invariants against a "
-                    "clean differential run.  Exit codes: 0 = every fault "
-                    "was absorbed or classified benign, 1 = a campaign "
-                    "job failed in the harness (infrastructure, not a "
-                    "finding), 2 = classified invariant violation.")
+                    "clean differential run.")
     p_faults.add_argument("--seeds", type=int, default=32,
                           help="number of seeded fault plans (default 32)")
     p_faults.add_argument("--quick", action="store_true",
                           help="fewer events per plan (CI smoke)")
-    p_faults.add_argument("--workers", type=int, default=None,
-                          help="parallel worker processes (default: CPUs)")
-    p_faults.add_argument("--serial", action="store_true",
-                          help="run campaign jobs in-process")
-    p_faults.add_argument("--chaos", type=float, default=0.0, metavar="RATE",
-                          help="kill this fraction of first-attempt workers "
-                               "mid-job (chaos test of the runner)")
-    p_faults.add_argument("--chaos-seed", type=int, default=0,
-                          help="seed for the chaos kill selection")
-    p_faults.add_argument("--output", default=None, metavar="PATH",
-                          help="report file (default: FAULTS_campaign.json "
-                               "at the repo root)")
     p_faults.add_argument("--multi-nodes", type=int, default=0, metavar="N",
                           help="run the node-level multiprocessor campaign "
                                "on N-node systems instead (flip one node's "
                                "Icache valid bits / corrupt its Ecache "
                                "tags mid-run; report: FAULTS_multi.json)")
+    campaign(p_faults, "FAULTS_campaign.json",
+             "classified invariant violation", chaos=True)
     p_faults.set_defaults(func=cmd_faults)
 
     p_fuzz = sub.add_parser(
@@ -619,9 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Divergent programs are auto-shrunk to a minimal repro "
                     "and filed under fuzz_corpus/.  Campaigns journal "
                     "every finished seed and resume from the journal when "
-                    "rerun.  Exit codes: 0 = all models agree, 1 = a "
-                    "campaign job failed in the harness (infrastructure, "
-                    "not a finding), 2 = unexplained model divergence.")
+                    "rerun.")
     p_fuzz.add_argument("--seeds", type=int, default=50,
                         help="seeds per mode (default 50)")
     p_fuzz.add_argument("--modes", default=None, metavar="M[,M]",
@@ -629,30 +580,20 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default all three)")
     p_fuzz.add_argument("--quick", action="store_true",
                         help="smaller generated programs (CI smoke)")
-    p_fuzz.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: CPUs)")
-    p_fuzz.add_argument("--serial", action="store_true",
-                        help="run campaign jobs in-process")
     p_fuzz.add_argument("--max-seconds", type=float, default=None,
                         help="wall-clock budget; finished seeds are "
                              "journaled, rerun the same command to resume")
-    p_fuzz.add_argument("--chaos", type=float, default=0.0, metavar="RATE",
-                        help="kill this fraction of first-attempt workers "
-                             "mid-job (chaos test of the runner)")
-    p_fuzz.add_argument("--chaos-seed", type=int, default=0,
-                        help="seed for the chaos kill selection")
     p_fuzz.add_argument("--mutate", default=None, metavar="NAME",
                         help="dev-only: plant a known golden-model bug "
                              "(see repro.fuzz.mutation); divergences are "
                              "then expected and do not fail the campaign")
-    p_fuzz.add_argument("--output", default=None, metavar="PATH",
-                        help="report file (default: FUZZ_campaign.json at "
-                             "the repo root)")
     p_fuzz.add_argument("--corpus-dir", default=None, metavar="DIR",
                         help="where to file shrunk repros (default: "
                              "fuzz_corpus/ at the repo root)")
     p_fuzz.add_argument("--no-corpus", action="store_true",
                         help="do not file repros for divergences")
+    campaign(p_fuzz, "FUZZ_campaign.json",
+             "unexplained model divergence", chaos=True)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_ckpt = sub.add_parser(
@@ -668,21 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "their last snapshot and merge byte-identical; "
                     "corrupted/truncated/mis-versioned snapshots must be "
                     "rejected with named errors and fall back a "
-                    "generation.  Exit codes: 0 = all gates green, 1 = a "
-                    "campaign job failed in the harness, 2 = a recovery "
-                    "gate failed.")
+                    "generation.")
     p_ckpt.add_argument("--fuzz-seeds", type=int, default=50,
                         help="fuzz seeds in the equivalence gate "
                              "(default 50)")
     p_ckpt.add_argument("--quick", action="store_true",
                         help="few fuzz seeds (CI smoke)")
-    p_ckpt.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: CPUs)")
-    p_ckpt.add_argument("--serial", action="store_true",
-                        help="run equivalence jobs in-process")
-    p_ckpt.add_argument("--output", default=None, metavar="PATH",
-                        help="report file (default: "
-                             "CHECKPOINT_campaign.json at the repo root)")
+    campaign(p_ckpt, "CHECKPOINT_campaign.json",
+             "a recovery gate failed")
     p_ckpt.set_defaults(func=cmd_checkpoint)
 
     p_devices = sub.add_parser(
@@ -696,15 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "delivered, the JIT run must be bit-exact (log, "
                     "cycles, instructions) with blocks compiled, and a "
                     "mid-boot snapshot/restore must finish "
-                    "bit-identical to the straight run.  Exit codes: "
-                    "0 = every demo held, 1 = harness failure, 2 = a "
-                    "comparison failed.")
+                    "bit-identical to the straight run.")
     p_devices.add_argument("--quick", action="store_true",
                            help="skip the long timer-sliced demo "
                                 "(CI smoke)")
-    p_devices.add_argument("--output", default=None, metavar="PATH",
-                           help="report file (default: "
-                                "DEVICES_results.json at the repo root)")
+    campaign(p_devices, "DEVICES_results.json", "a demo failed its gate",
+             runner=False)
     p_devices.set_defaults(func=cmd_devices)
     return parser
 

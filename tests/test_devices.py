@@ -229,10 +229,11 @@ def gate_payload(tmp_path_factory):
 
 class TestDevicesGate:
     def test_quick_gate_is_clean(self, gate_payload):
-        from repro.harness.devices import exit_code
+        from repro.harness.devices import verdict
+        from repro.harness.verdict import exit_code
 
         payload, _ = gate_payload
-        assert exit_code(payload) == 0, payload["summary"]
+        assert exit_code(verdict(payload)) == 0, payload["summary"]
 
     def test_jit_and_checkpoint_legs_are_bit_identical(self, gate_payload):
         payload, _ = gate_payload
@@ -245,13 +246,13 @@ class TestDevicesGate:
                 f"cycle {row['checkpoint']['snapshot_cycle']}")
 
     def test_report_validator_accepts_clean_report(self, gate_payload):
-        from repro.tools.check_results import check_devices_file
+        from repro.tools.check_results import GATES
 
         _, output = gate_payload
-        assert check_devices_file(str(output)) == []
+        assert GATES["--devices"].run(str(output)) == []
 
     def test_report_validator_catches_tampering(self, gate_payload, tmp_path):
-        from repro.tools.check_results import check_devices_file
+        from repro.tools.check_results import GATES
 
         payload, _ = gate_payload
         tampered = json.loads(json.dumps(payload))
@@ -260,7 +261,7 @@ class TestDevicesGate:
         row["interrupts"] = 0
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(tampered))
-        failures = check_devices_file(str(path))
+        failures = GATES["--devices"].run(str(path))
         assert any("translated fast path" in failure for failure in failures)
         assert any("zero interrupts" in failure for failure in failures)
 
@@ -287,9 +288,9 @@ class TestDevicesGate:
         assert [p.name for p in tmp_path.iterdir()] == [report.name]
 
     def test_report_validator_catches_missing_file(self, tmp_path):
-        from repro.tools.check_results import check_devices_file
+        from repro.tools.check_results import GATES
 
-        assert check_devices_file(str(tmp_path / "absent.json"))
+        assert GATES["--devices"].run(str(tmp_path / "absent.json"))
 
 
 class TestDeviceTelemetry:

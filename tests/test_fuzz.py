@@ -22,10 +22,10 @@ import json
 import pytest
 
 from repro.fuzz.campaign import (
-    exit_code,
     fuzz_point,
     journal_path_for,
     run_campaign,
+    verdict,
 )
 from repro.fuzz.corpus import iter_corpus, load_entry, replay_entry, write_entry
 from repro.fuzz.gen import GenConfig, generate_program
@@ -37,6 +37,7 @@ from repro.fuzz.oracle import (
     check_program,
 )
 from repro.fuzz.shrink import count_instructions, shrink
+from repro.harness.verdict import exit_code
 
 QUICK_ISA = GenConfig(mode="isa", quick=True)
 QUICK_LANG = GenConfig(mode="lang", quick=True)
@@ -185,7 +186,7 @@ class TestCampaign:
         parallel = run_campaign(workers=2, parallel=True,
                                 output=tmp_path / "parallel.json", **kwargs)
         assert serial["complete"] and parallel["complete"]
-        assert exit_code(serial) == 0
+        assert exit_code(verdict(serial)) == 0
         assert _strip_volatile(serial) == _strip_volatile(parallel)
         assert ((tmp_path / "serial.json").read_bytes()
                 == (tmp_path / "parallel.json").read_bytes())
@@ -232,7 +233,7 @@ class TestCampaign:
         assert payload["totals"]["diverged"] == 1
         divergence = payload["divergences"][0]
         assert divergence["shrunk_instructions"] <= 8
-        assert exit_code(payload) == 0
+        assert exit_code(verdict(payload)) == 0
 
     def test_divergence_files_a_corpus_entry(self, tmp_path):
         # corpus filing is driven by the report alone; exercise it via a
@@ -275,28 +276,28 @@ class TestExitTaxonomy:
                 "config": {"mutation": mutation}}
 
     def test_clean_campaign_exits_zero(self):
-        assert exit_code(self._payload()) == 0
+        assert exit_code(verdict(self._payload())) == 0
 
     def test_harness_failure_exits_one(self):
-        assert exit_code(self._payload(harness=1)) == 1
+        assert exit_code(verdict(self._payload(harness=1))) == 1
 
     def test_unexplained_divergence_exits_two(self):
-        assert exit_code(self._payload(diverged=1)) == 2
+        assert exit_code(verdict(self._payload(diverged=1))) == 2
 
     def test_divergence_outranks_harness_failure(self):
-        assert exit_code(self._payload(diverged=1, harness=1)) == 2
+        assert exit_code(verdict(self._payload(diverged=1, harness=1))) == 2
 
     def test_explained_mutation_divergence_exits_zero(self):
-        assert exit_code(self._payload(diverged=1,
-                                       mutation="sra-logical")) == 0
+        assert exit_code(verdict(self._payload(
+            diverged=1, mutation="sra-logical"))) == 0
 
     def test_missed_planted_mutation_exits_two(self):
         # a mutation campaign that catches nothing failed its self-test
-        assert exit_code(self._payload(mutation="sra-logical")) == 2
+        assert exit_code(verdict(self._payload(mutation="sra-logical"))) == 2
 
     def test_incomplete_mutation_campaign_is_not_a_miss(self):
-        assert exit_code(self._payload(mutation="sra-logical",
-                                       complete=False)) == 0
+        assert exit_code(verdict(self._payload(
+            mutation="sra-logical", complete=False))) == 0
 
     def test_taxonomy_documented_in_help(self):
         from repro.tools.cli import build_parser

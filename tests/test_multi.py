@@ -421,7 +421,7 @@ class TestMultiBenchSection:
         import copy
         import json
 
-        from repro.tools.check_results import check_multi_file
+        from repro.tools.check_results import GATES
 
         rows = {
             f"multi/psieve-n{n:02d}-bus0-inv": {
@@ -453,7 +453,7 @@ class TestMultiBenchSection:
             mutate(payload)
             path = tmp_path / "bench.json"
             path.write_text(json.dumps(payload))
-            return check_multi_file(path)
+            return GATES["--multi"].run(path)
 
         assert verdict(lambda p: None) == []
         assert verdict(lambda p: p.pop("multi"))

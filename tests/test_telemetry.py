@@ -253,16 +253,16 @@ class TestAggregationDeterminism:
 
 
 def check_metrics_payload_clean(summary) -> bool:
-    """True when ``check_metrics_file`` passes the payload verbatim."""
+    """True when the ``--metrics-file`` gate passes the payload verbatim."""
     import pathlib
     import tempfile
 
-    from repro.tools.check_results import check_metrics_file
+    from repro.tools.check_results import GATES
 
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "METRICS_summary.json"
         path.write_text(json.dumps(summary))
-        return check_metrics_file(path) == []
+        return GATES["--metrics-file"].run(path) == []
 
 
 # -------------------------------------------------- check_results failures
@@ -274,23 +274,23 @@ class TestMetricsFileGate:
         return build_metrics_summary(_cpi_results(parallel=False))
 
     def _check(self, tmp_path, payload):
-        from repro.tools.check_results import check_metrics_file
+        from repro.tools.check_results import GATES
 
         path = tmp_path / "METRICS_summary.json"
         path.write_text(json.dumps(payload))
-        return check_metrics_file(path)
+        return GATES["--metrics-file"].run(path)
 
     def test_clean_summary_passes(self, tmp_path, summary):
         assert self._check(tmp_path, summary) == []
 
     def test_missing_file_and_bad_json_fail(self, tmp_path):
-        from repro.tools.check_results import check_metrics_file
+        from repro.tools.check_results import GATES
 
-        assert check_metrics_file(tmp_path / "absent.json")
+        assert GATES["--metrics-file"].run(tmp_path / "absent.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert any("not valid JSON" in msg
-                   for msg in check_metrics_file(bad))
+                   for msg in GATES["--metrics-file"].run(bad))
 
     def test_bent_analysis_cpi_fails_the_identity(self, tmp_path, summary):
         tampered = json.loads(json.dumps(summary))

@@ -1,5 +1,9 @@
 """Tests for the developer tooling: pipeline viewer and CLI."""
 
+import json
+import pathlib
+
+import pytest
 
 from repro.asm import assemble
 from repro.core import Machine, perfect_memory_config
@@ -155,47 +159,47 @@ class TestCheckBenchFile:
                 "experiments": {"e/1": {"status": "ok"}}}
 
     def test_complete_file_passes(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        from repro.tools.check_results import GATES
 
-        assert check_bench_file(self._write(tmp_path, self._complete())) == []
+        assert GATES["--bench-file"].run(self._write(tmp_path, self._complete())) == []
 
     def test_missing_section_is_named(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        from repro.tools.check_results import GATES
 
         payload = self._complete()
         del payload["sweep"]
-        failures = check_bench_file(self._write(tmp_path, payload))
+        failures = GATES["--bench-file"].run(self._write(tmp_path, payload))
         assert any("section 'sweep' is missing" in f for f in failures)
 
     def test_missing_key_is_named(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        from repro.tools.check_results import GATES
 
         payload = self._complete()
         del payload["core"]["cycles_per_sec"]
-        failures = check_bench_file(self._write(tmp_path, payload))
+        failures = GATES["--bench-file"].run(self._write(tmp_path, payload))
         assert any("section 'core' is missing key 'cycles_per_sec'" in f
                    for f in failures)
 
     def test_partial_write_is_not_a_keyerror(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        from repro.tools.check_results import GATES
 
         path = tmp_path / "bench.json"
         path.write_text('{"core": {"cycles_per')     # torn write
-        failures = check_bench_file(path)            # must not raise
+        failures = GATES["--bench-file"].run(path)            # must not raise
         assert failures and "not valid JSON" in failures[0]
 
     def test_experiment_rows_need_status(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        from repro.tools.check_results import GATES
 
         payload = self._complete()
         payload["experiments"]["e/2"] = {"duration_s": 1.0}
-        failures = check_bench_file(self._write(tmp_path, payload))
+        failures = GATES["--bench-file"].run(self._write(tmp_path, payload))
         assert any("row 'e/2' has no 'status'" in f for f in failures)
 
     def test_missing_file_is_reported(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        from repro.tools.check_results import GATES
 
-        failures = check_bench_file(tmp_path / "nope.json")
+        failures = GATES["--bench-file"].run(tmp_path / "nope.json")
         assert failures and "does not exist" in failures[0]
 
 
@@ -217,63 +221,170 @@ class TestCheckFuzzFile:
                 "divergences": []}
 
     def test_clean_report_passes(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
-        assert check_fuzz_file(self._write(tmp_path, self._clean())) == []
+        assert GATES["--fuzz-file"].run(self._write(tmp_path, self._clean())) == []
 
     def test_missing_file_is_reported(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
-        failures = check_fuzz_file(tmp_path / "nope.json")
+        failures = GATES["--fuzz-file"].run(tmp_path / "nope.json")
         assert failures and "does not exist" in failures[0]
 
     def test_missing_totals_key_is_named(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
         payload = self._clean()
         del payload["totals"]["diverged"]
-        failures = check_fuzz_file(self._write(tmp_path, payload))
+        failures = GATES["--fuzz-file"].run(self._write(tmp_path, payload))
         assert any("missing key 'diverged'" in f for f in failures)
 
     def test_incomplete_campaign_fails_with_resume_hint(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
         payload = self._clean()
         payload["complete"] = False
         payload["totals"]["completed"] = 1
-        failures = check_fuzz_file(self._write(tmp_path, payload))
+        failures = GATES["--fuzz-file"].run(self._write(tmp_path, payload))
         assert any("incomplete" in f and "resume" in f for f in failures)
 
     def test_unexplained_divergence_fails(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
         payload = self._clean()
         payload["totals"]["diverged"] = 1
         payload["totals"]["ok"] = 1
-        failures = check_fuzz_file(self._write(tmp_path, payload))
+        failures = GATES["--fuzz-file"].run(self._write(tmp_path, payload))
         assert any("unexplained model divergence" in f for f in failures)
 
     def test_mutation_divergence_is_explained(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
         payload = self._clean()
         payload["config"]["mutation"] = "sra-logical"
         payload["totals"]["diverged"] = 1
         payload["totals"]["ok"] = 1
-        assert check_fuzz_file(self._write(tmp_path, payload)) == []
+        assert GATES["--fuzz-file"].run(self._write(tmp_path, payload)) == []
 
     def test_harness_failures_fail(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
         payload = self._clean()
         payload["totals"]["harness_failures"] = 1
-        failures = check_fuzz_file(self._write(tmp_path, payload))
+        failures = GATES["--fuzz-file"].run(self._write(tmp_path, payload))
         assert any("failed in the harness" in f for f in failures)
 
     def test_missed_mutation_fails_the_self_test(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
+        from repro.tools.check_results import GATES
 
         payload = self._clean()
         payload["config"]["mutation"] = "sra-logical"
-        failures = check_fuzz_file(self._write(tmp_path, payload))
+        failures = GATES["--fuzz-file"].run(self._write(tmp_path, payload))
         assert any("failed its self-test" in f for f in failures)
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: the committed artifact each report gate must pass on
+COMMITTED_ARTIFACTS = {
+    "--bench-file": "BENCH_pipeline.json",
+    "--metrics-file": "METRICS_summary.json",
+    "--fuzz-file": "FUZZ_campaign.json",
+    "--jit": "BENCH_pipeline.json",
+    "--multi": "BENCH_pipeline.json",
+    "--checkpoint": "CHECKPOINT_campaign.json",
+    "--devices": "DEVICES_results.json",
+}
+
+
+def _committed(name):
+    return json.loads((REPO_ROOT / name).read_text())
+
+
+def _first(rows):
+    return rows[sorted(rows)[0]]
+
+
+class TestGateTable:
+    def test_every_gate_has_a_committed_artifact(self):
+        from repro.tools.check_results import GATES
+
+        assert set(COMMITTED_ARTIFACTS) == set(GATES)
+
+    @pytest.mark.parametrize("flag", sorted(COMMITTED_ARTIFACTS))
+    def test_committed_artifact_passes_its_gate(self, flag):
+        from repro.tools.check_results import GATES
+
+        path = REPO_ROOT / COMMITTED_ARTIFACTS[flag]
+        assert GATES[flag].run(path) == []
+
+    @pytest.mark.parametrize("flag, tamper, expected", [
+        ("--checkpoint",
+         lambda p: p["corruption"].update(cases=["x"]),
+         "corruption case 'x' is not an object"),
+        ("--devices",
+         lambda p: _first(p["demos"]).update(jit=None),
+         "['jit'] must be objects"),
+        ("--fuzz-file",
+         lambda p: p.update(config=[]),
+         "section 'config' is not an object"),
+        ("--devices",
+         lambda p: p["summary"].update(harness_failures=3),
+         "'harness_failures' is not a list"),
+        ("--jit",
+         lambda p: _first(p["jit"]["workloads"]).update(speedup="fast"),
+         "speedup 'fast' is below"),
+        ("--multi",
+         lambda p: p["multi"].update(failures=2),
+         "'failures' is not a list"),
+    ], ids=["corruption-case-string", "devices-jit-null", "fuzz-config-list",
+            "devices-harness-int", "jit-speedup-string", "multi-failures-int"])
+    def test_tampered_report_fails_by_name(self, tmp_path, flag, tamper,
+                                           expected):
+        from repro.tools.check_results import GATES
+
+        payload = _committed(COMMITTED_ARTIFACTS[flag])
+        tamper(payload)
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(payload))
+        failures = GATES[flag].run(path)                # must not raise
+        assert any(expected in failure for failure in failures), failures
+
+
+def _finding_and_harness_failure(payload):
+    payload["summary"].update(violated=1, unhandled_jobs=1)
+
+
+def _failed_demo_and_harness_failure(payload):
+    payload["summary"]["harness_failures"] = ["x: RuntimeError: boom"]
+    _first(payload["demos"])["jit"]["ok"] = False
+
+
+class TestCampaignExitCodes:
+    """Each campaign command exits with its report's verdict: a finding
+    (2) outranks a harness failure (1)."""
+
+    @pytest.mark.parametrize("argv, module, runner, artifact, tamper", [
+        (["faults"], "repro.faults.campaign", "run_campaign",
+         "FAULTS_campaign.json", _finding_and_harness_failure),
+        (["faults", "--multi-nodes", "3"], "repro.faults.multi",
+         "run_multi_campaign", "FAULTS_multi.json",
+         _finding_and_harness_failure),
+        (["devices"], "repro.harness.devices", "run_devices_gate",
+         "DEVICES_results.json", _failed_demo_and_harness_failure),
+        (["checkpoint"], "repro.checkpoint.campaign", "run_campaign",
+         "CHECKPOINT_campaign.json",
+         lambda p: p["corruption"].update(cases=[])),
+    ], ids=["faults", "faults-multi-nodes", "devices",
+            "checkpoint-zero-corruption-cases"])
+    def test_finding_exits_two(self, monkeypatch, capsys, argv, module,
+                               runner, artifact, tamper):
+        import importlib
+
+        payload = _committed(artifact)
+        tamper(payload)
+        payload["report_path"] = artifact
+        monkeypatch.setattr(importlib.import_module(module), runner,
+                            lambda **kwargs: payload)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip()
