@@ -99,8 +99,6 @@ class MachineConfig:
     jit: bool = False
     #: Taken-branch count at a loop head before translation is attempted.
     jit_threshold: int = 8
-    #: Admission bound on the translation cache (LRU-evicted beyond this).
-    jit_max_blocks: int = 64
 
     @property
     def cycle_ns(self) -> float:

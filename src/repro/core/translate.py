@@ -1,4 +1,4 @@
-"""Translated fast path: hot inner loops compiled to Python closures.
+"""Translated fast path: hot paths compiled to Python closures.
 
 The interpretive pipeline dispatches every instruction of every cycle
 through the full stage machinery.  For the loops that dominate simulated
@@ -8,45 +8,50 @@ This module is the MIPS-X *reorganizer* philosophy applied to the
 simulator itself: move the per-cycle complexity into a one-time software
 precomputation and keep the hot path trivial.
 
-**What gets translated.**  Three block shapes, tried in order when a
-fetch-discontinuity target gets hot:
+**What gets translated.**  One block shape: when a fetch-discontinuity
+target gets hot, the scanner walks a *path* of PCs forward from it.
+Forward conditional branches on the path are side exits (taken means an
+exact mid-pass exit to their target).  The first backward branch ends
+the walk, in one of two ways:
 
-* a *straight taken-branch loop*: a contiguous run ``head .. head+N-1``
-  whose instruction at ``head+N-3`` is a conditional branch back to
-  ``head`` (so its two delay slots are the last two words of the
-  block).  While such a loop iterates, the five-stage pipeline is in a
-  perfectly periodic regime -- every fetch hits the same Icache lines,
-  every bypass resolves the same way, the PC chain and latches cycle
-  through the same N states.  The compiler proves the periodic schedule
-  once and emits one specialized Python function that replays whole
-  iterations, touching only architectural state;
-* a *phase-rotated loop*: the same periodic regime entered mid-body (a
-  hot branch target that lands after the loop's seam); the PC table
-  carries one wrap and the per-cycle formulas rotate with it;
-* a *linear one-pass block*: a straight-line run entered at any hot
-  fetch discontinuity.  The four in-flight predecessors observed in
-  the stage latches at compile time -- their PCs, squash pattern, and
-  branch outcomes -- become the entry contract; the body extends to
-  the first backward branch plus its two delay slots, and the periodic
-  emission machinery degenerates to the non-wrapping case.  Linear
+* the path *closes*: the branch returns to the entry, either directly
+  or after one *seam* -- a backward branch to below the entry that the
+  path follows, and that becomes a polarity-inverted side (the pass
+  continues when it is taken).  While a closing path repeats, the
+  five-stage pipeline is in a perfectly periodic regime -- every fetch
+  hits the same Icache lines, every bypass resolves the same way -- so
+  the closure replays pass after pass along the back edge, touching
+  only architectural state;
+* otherwise the path runs *one pass*, ending at that branch plus its
+  two delay slots, and redirects wherever the branch decides.  One-pass
   blocks let translated regions *chain*: a loop's fall-through exit
-  re-dispatches into a linear block whose bottom branch enters the
+  re-dispatches into a one-pass block whose bottom branch enters the
   next loop.
+
+Every block shares one index space: indices 0..3 are the *prologue*,
+the four predecessors already in flight when the entry PC is fetched,
+and indices 4.. are the fetched body.  The prologue's PCs, squash
+pattern and branch outcomes are the *entry contract*.  A closing path
+takes them from its own tail -- the back edge leaves exactly that tail
+in the latches, so every back-edge arrival matches -- and a one-pass
+path takes the ones observed in the stage latches at compile time.
 
 **Exactness contract.**  Translated execution is cycle-exact and
 bit-identical to the interpretive pipeline: identical
 :class:`~repro.core.pipeline.PipelineStats`, register file, memory,
 MD/PSW, Icache and Ecache statistics and LRU state, and identical
 pipeline latches at every entry/exit boundary.  Anything the closure
-cannot reproduce exactly is either *refused at compile time* (control
-transfers other than the backward branch, coprocessor ops, special-PC
+cannot reproduce exactly is either *refused at compile time* (jumps and
+other non-conditional control transfers, coprocessor ops, special-PC
 reads, unbypassable load-use hazards), *guarded at entry* (wrong mode,
-pending interrupts, trace/fault hooks, squash FSM not quiescent, Icache
-lines not resident) or *bailed out mid-block at a cycle boundary* (MMIO
-access, store into a translated region, branch falling through, cycle
-budget).  On every bail the closure materializes the exact latch,
-chain, PC and statistics state the interpreter would have had, so the
-interpretive pipeline resumes seamlessly.
+pending interrupts, trace/fault hooks, squash FSM not quiescent, an
+overflow-capable instruction with TE set, latches off the entry
+contract, Icache lines not resident) or *bailed out mid-block at a
+cycle boundary* (MMIO access, store into a translated region, a side
+falling through into words not resident at entry, cycle budget).  On
+every exit the closure materializes the exact latch, chain, PC and
+statistics state the interpreter would have had, so the interpretive
+pipeline resumes seamlessly.
 
 Store invalidation rides the same ``memory.write_listeners`` path that
 already invalidates decode memos: the pipeline's store listener feeds
@@ -70,6 +75,9 @@ _BRANCH_SQUASH = SquashState.BRANCH_SQUASH
 
 #: Longest run of words the block scanner will walk before giving up.
 MAX_BLOCK_WORDS = 64
+
+#: Admission bound on the translation cache (LRU-evicted beyond this).
+MAX_BLOCKS = 64
 
 #: Compute functs the translator can inline (everything here is a pure
 #: register-to-register operation with no control or special-state side
@@ -130,32 +138,30 @@ class TranslateStats:
 
 
 class TranslatedBlock:
-    """One compiled loop: metadata plus the specialized closure."""
+    """One compiled path: metadata plus the specialized closure."""
 
-    __slots__ = ("head", "mode", "n", "instrs", "fn", "needs_no_ovf",
+    __slots__ = ("head", "mode", "n", "instrs", "pcs", "fn", "needs_no_ovf",
                  "max_pass", "lines", "line_segs", "n_segs", "last_used",
-                 "passes", "slot3_squashed", "pcs", "linear", "entry_sq",
-                 "entry_taken", "entry_fsm_squash")
+                 "entry_sq", "entry_taken", "entry_fsm_squash")
 
-    def __init__(self, head: int, mode: bool, instrs: tuple, fn,
+    def __init__(self, head: int, mode: bool, instrs: tuple, pcs: tuple, fn,
                  needs_no_ovf: bool, max_pass: int, lines: tuple,
-                 line_segs: tuple = (), n_segs: int = 0,
-                 slot3_squashed: bool = False, pcs: tuple = (),
-                 linear: bool = False, entry_sq: tuple = (),
-                 entry_taken: tuple = (), entry_fsm_squash: bool = False):
+                 line_segs: tuple, n_segs: int, entry_sq: tuple,
+                 entry_taken: tuple, entry_fsm_squash: bool):
         self.head = head
         self.mode = mode
         self.n = len(instrs)
+        #: indices 0..3 are the prologue (in the latches at entry),
+        #: indices 4.. the fetched body
         self.instrs = instrs
-        #: absolute fetch PC per index.  Straight blocks are contiguous
-        #: (``head .. head+n-1``); rotated blocks have one seam where
-        #: the original loop branch redirects back over the entry.
-        self.pcs = pcs if pcs else tuple(range(head, head + self.n))
+        #: absolute fetch PC per index.  A closing path's prologue
+        #: repeats its tail, and a seam splits its body into two spans.
+        self.pcs = pcs
         self.fn = fn
         self.needs_no_ovf = needs_no_ovf
         self.max_pass = max_pass
         #: ((set_index, tag, (word_offsets...)), ...) in fetch order --
-        #: the Icache lines the block spans, probed once per entry.
+        #: the Icache lines the body spans, probed once per entry.
         self.lines = lines
         #: aligned with ``lines``: each line's word offsets grouped by
         #: fetch segment (-1 = entry segment, k >= 0 = fetched only
@@ -163,35 +169,24 @@ class TranslatedBlock:
         self.line_segs = line_segs
         self.n_segs = n_segs
         self.last_used = 0
-        self.passes = 0
-        #: the instruction at n-4 is an annulled delay slot, so at a
-        #: canonical entry the s[3] latch must hold a *squashed* flight.
-        self.slot3_squashed = slot3_squashed
-        #: one-pass straight-line block: indices 0..3 are the four
-        #: *prologue* instructions preceding the entry PC (in the
-        #: latches at entry), indices 4.. are the fetched body, and the
-        #: body ends at a backward branch plus its two delay slots.
-        self.linear = linear
-        #: linear only: which of the four prologue flights must be
-        #: squashed at entry (annulled slots of a prologue squash
-        #: branch that resolved not taken).
+        #: which of the four prologue flights must be squashed at entry
+        #: (annulled slots of a squashing branch that resolved not taken)
         self.entry_sq = entry_sq
-        #: linear only: the observed taken outcome of each resolved
-        #: prologue branch (indices 0..1; always False elsewhere) --
-        #: part of the entry contract, baked into flight
-        #: materialization at exit sites.
+        #: the taken outcome of each resolved prologue branch (indices
+        #: 0..1; always False elsewhere) -- part of the entry contract,
+        #: baked into flight materialization at exit sites.
         self.entry_taken = entry_taken
-        #: linear only: the prologue instruction at index 1 is an active
-        #: squashing branch that resolved not taken one cycle before
-        #: entry, so the squash FSM must be in BRANCH_SQUASH (the
-        #: closure emits the clear on its first cycle).
+        #: the prologue instruction at index 1 is an active squashing
+        #: branch that resolved not taken one cycle before entry, so the
+        #: squash FSM must be in BRANCH_SQUASH (the closure emits the
+        #: clear on its first cycle).
         self.entry_fsm_squash = entry_fsm_squash
 
 
 def _segment_lines(lines: tuple, n: int, sides: tuple) -> tuple:
     """Group each Icache line's word offsets by fetch segment.
 
-    Segment -1 holds the words fetched unconditionally from a canonical
+    Segment -1 holds the body words fetched unconditionally from an
     entry (up to and including the first side branch's second delay
     slot); segment ``k >= 0`` holds the words only fetched once side
     branch ``k`` has resolved not taken.  ``try_enter`` must prove
@@ -228,9 +223,8 @@ class Translator:
         self.pipeline = pipeline
         config = pipeline.config
         self.threshold = max(2, config.jit_threshold)
-        self.max_blocks = max(1, config.jit_max_blocks)
         self.stats = TranslateStats()
-        #: head -> TranslatedBlock, bounded by ``max_blocks`` (LRU).
+        #: head -> TranslatedBlock, bounded by ``MAX_BLOCKS`` (LRU).
         self.blocks: Dict[int, TranslatedBlock] = {}
         #: taken-branch-target counts awaiting the threshold.
         self._counts: Dict[int, int] = {}
@@ -250,6 +244,7 @@ class Translator:
         #: wall seconds spent inside :meth:`_compile` (bench telemetry;
         #: not a machine-state quantity, never part of equivalence)
         self.compile_s = 0.0
+
 
     # ------------------------------------------------------------ support
     @staticmethod
@@ -333,7 +328,7 @@ class Translator:
         self.stats.compiled += 1
 
     def _admit(self, block: TranslatedBlock) -> None:
-        if len(self.blocks) >= self.max_blocks:
+        if len(self.blocks) >= MAX_BLOCKS:
             victim = min(self.blocks.values(), key=lambda b: b.last_used)
             self.invalidate(victim.head)
             self.stats.invalidations -= 1
@@ -345,22 +340,21 @@ class Translator:
         for address in block.pcs:
             index.setdefault(address, []).append(block.head)
 
+
     # -------------------------------------------------------------- entry
     def try_enter(self, block: TranslatedBlock, max_cycles: int) -> bool:
         """Run the block's closure if every entry guard holds.
 
-        The canonical entry point is the cycle boundary at which the
-        loop branch has just been resolved taken: the latches hold the
-        block's last four instructions at known stage ages and the fetch
-        PC is back at ``head``.  Everything the closure assumes constant
-        is (re)checked here; the Icache ways backing the block are
-        gathered for the deferred LRU touches.
+        The entry point is the cycle boundary at which the block's entry
+        PC is about to be fetched with the prologue (indices 0..3) in the
+        stage latches at known stage ages.  For a closing path that is
+        the moment its back edge has just resolved taken.  Everything the
+        closure assumes constant is (re)checked here; the Icache ways
+        backing the block are gathered for the deferred LRU touches.
         """
         pipe = self.pipeline
         stats = self.stats
         psw = pipe.psw
-        n = block.n
-        head = block.head
         # The dispatcher caps max_cycles at the device alarm minus one,
         # so the alarm cycle is always interpreted; the explicit check
         # keeps direct callers honest about the same window.
@@ -382,66 +376,39 @@ class Translator:
                 or pipe.memory.mmu.enabled):
             stats.entry_rejected += 1
             return False
+        # The latches must reproduce the entry contract: the four
+        # in-flight predecessors with the same PCs, squash pattern and
+        # branch outcomes.  Prologue branches at 0..1 resolved before
+        # entry; their outcome is baked into the exit-site flights.
+        # Index 0's memory access already ran its MEM stage; index 1's
+        # runs on the first in-block cycle, so it must still be pending
+        # and must not touch MMIO space (the closure accesses backing
+        # storage directly).
         s = pipe.s
         instrs = block.instrs
         pcs = block.pcs
-        if block.linear:
-            # One-pass entry: the latches must reproduce the prologue
-            # observed at compile time -- the four in-flight
-            # predecessors (indices 0..3) with the same PCs, squash
-            # pattern and branch outcomes.
-            entry_sq = block.entry_sq
-            entry_taken = block.entry_taken
-            for latch, idx in ((0, 3), (1, 2), (2, 1), (3, 0)):
-                flight = s[latch]
-                if (flight is None
-                        or flight.squashed != entry_sq[idx]
-                        or flight.pc != pcs[idx]
-                        or not (flight.instr is instrs[idx]
-                                or flight.instr == instrs[idx])):
-                    stats.entry_rejected += 1
-                    return False
-            # Prologue branches at 0..1 resolved before entry: their
-            # observed outcome is baked into the closure's exit-site
-            # flights.  Index 0's memory access already ran its MEM
-            # stage; index 1's runs on the first in-block cycle, so it
-            # must still be pending and must not touch MMIO space
-            # (the closure accesses backing storage directly).
-            for latch, idx in ((2, 1), (3, 0)):
-                if (not entry_sq[idx]
+        entry_sq = block.entry_sq
+        entry_taken = block.entry_taken
+        for latch in range(4):
+            idx = 3 - latch
+            flight = s[latch]
+            if (flight is None
+                    or flight.squashed != entry_sq[idx]
+                    or flight.pc != pcs[idx]
+                    or not (flight.instr is instrs[idx]
+                            or flight.instr == instrs[idx])
+                    or (idx < 2 and not entry_sq[idx]
                         and instrs[idx].opcode in _BRANCH_EXPR
-                        and bool(s[latch].taken) != entry_taken[idx]):
-                    stats.entry_rejected += 1
-                    return False
-            if (not entry_sq[0] and instrs[0].is_memory_access
-                    and not s[3].mem_resolved):
+                        and bool(flight.taken) != entry_taken[idx])):
                 stats.entry_rejected += 1
                 return False
-            if (not entry_sq[1] and instrs[1].is_memory_access
+        if ((not entry_sq[0] and instrs[0].is_memory_access
+             and not s[3].mem_resolved)
+                or (not entry_sq[1] and instrs[1].is_memory_access
                     and (s[2].mem_resolved
-                         or s[2].mem_address >= pipe.config.mmio_base)):
-                stats.entry_rejected += 1
-                return False
-        else:
-            for latch, idx in ((0, n - 1), (1, n - 2), (2, n - 3),
-                               (3, n - 4)):
-                flight = s[latch]
-                if (flight is None
-                        or flight.squashed != (latch == 3
-                                               and block.slot3_squashed)
-                        or flight.pc != pcs[idx]
-                        or not (flight.instr is instrs[idx]
-                                or flight.instr == instrs[idx])):
-                    stats.entry_rejected += 1
-                    return False
-            if not s[2].taken:
-                stats.entry_rejected += 1
-                return False
-            if (not block.slot3_squashed
-                    and instrs[n - 4].is_memory_access
-                    and not s[3].mem_resolved):
-                stats.entry_rejected += 1
-                return False
+                         or s[2].mem_address >= pipe.config.mmio_base))):
+            stats.entry_rejected += 1
+            return False
         # Residency: the entry segment (words fetched before the first
         # side branch could redirect) must be fully resident -- those
         # fetches are unconditional.  Words beyond a side branch degrade
@@ -484,7 +451,7 @@ class Translator:
             block.fn(budget, ways, seg_ok)
             if len(self.spans) < 65536:
                 self.spans.append({
-                    "head": head, "n": n, "start_cycle": start,
+                    "head": block.head, "n": block.n, "start_cycle": start,
                     "end_cycle": pipe.stats.cycles,
                     "cycles": stats.cycles - before,
                 })
@@ -494,238 +461,154 @@ class Translator:
 
     # ----------------------------------------------------------- compiler
     def _compile(self, head: int) -> Optional[TranslatedBlock]:
-        """Scan, prove and code-generate the loop at ``head``; ``None``
+        """Scan, prove and code-generate the path at ``head``; ``None``
         refuses the head (any construct outside the exact-translation
         subset)."""
         pipe = self.pipeline
-        config = pipe.config
         mode = pipe.psw.system_mode
-        if head + MAX_BLOCK_WORDS + 3 >= config.mmio_base:
+        if head + MAX_BLOCK_WORDS + 3 >= pipe.config.mmio_base:
             return None
-        linear = False
-        entry_sq: tuple = ()
-        entry_taken: tuple = ()
-        shape = self._scan(head, mode)
-        if shape is not None:
-            instrs, n = shape
-            pcs = tuple(range(head, head + n))
-            inv_sides: frozenset = frozenset()
-        else:
-            rotated = self._scan_rotated(head, mode)
-            if rotated is not None:
-                instrs, pcs, inv_sides = rotated
-                n = len(instrs)
-            else:
-                lshape = self._scan_linear(head, mode)
-                if lshape is None:
-                    return None
-                instrs, pcs, entry_sq, entry_taken = lshape
-                n = len(instrs)
-                inv_sides = frozenset()
-                linear = True
+        scanned = self._scan(head, mode)
+        if scanned is None:
+            return None
+        path, inv_sides, observed = scanned
+        pcs = tuple(pc for pc, _ in path)
+        instrs = tuple(instr for _, instr in path)
+        n = len(instrs)
         # Squashing side branches annul their two delay slots on every
         # continuing pass (continuing means not taken, the wrong way for
         # a squash-filled branch).  ``sq_owner`` maps each annulled slot
         # index to its branch.  An annulled branch never resolves, so it
         # annuls nothing itself; increasing order makes that causal.
-        # Slots may not reach the loop branch at n-3, and the FSM must
-        # be back to NORMAL before the pass boundary: i <= n-6.
-        # Inverted sides (rotated blocks) continue on *taken* -- the
-        # right way -- so their slots execute and are never annulled.
-        # A linear block's prologue carries its own observed annulment
-        # pattern (owner -10: squashed before entry, stays squashed).
+        # Slots may not reach the bottom branch at n-3, and the FSM must
+        # be back to NORMAL before it resolves: i <= n-6.  Inverted
+        # sides continue on *taken* -- the right way -- so their slots
+        # execute and are never annulled.
         sq_owner: Dict[int, int] = {}
-        if linear:
-            for i, squashed in enumerate(entry_sq):
-                if squashed:
-                    sq_owner[i] = -10
-        for i in range(4 if linear else 0, n - 3):
+        for i in range(4, n - 3):
             if (instrs[i].opcode in _BRANCH_EXPR and instrs[i].squash
                     and i not in sq_owner and i not in inv_sides):
                 if i > n - 6:
                     return None
                 sq_owner[i + 1] = i
                 sq_owner[i + 2] = i
-        sources = self._resolve_operands(instrs, n, sq_owner, linear)
+        if observed is None:
+            # closing: the prologue is the tail as the back edge leaves
+            # it, with the bottom branch (index 1) taken
+            entry_sq = tuple(n - 4 + j in sq_owner for j in range(4))
+            entry_taken = (False, True, False, False)
+        else:
+            entry_sq, entry_taken = observed
+        for j in range(4):
+            if entry_sq[j]:
+                sq_owner[j] = -10  # squashed before entry, stays squashed
+        sources = self._resolve_operands(instrs, sq_owner, observed is None)
         if sources is None:
             return None
-        sides = tuple(i for i in range(4 if linear else 0, n - 3)
+        sides = tuple(i for i in range(4, n - 3)
                       if instrs[i].opcode in _BRANCH_EXPR
                       and i not in sq_owner)
-        if linear:
-            # only the body (indices 4..) is fetched during the pass
-            lines = self._icache_lines(pcs[4:], mode)
-            line_segs = _segment_lines(lines, n - 4,
-                                       tuple(i - 4 for i in sides))
-        else:
-            lines = self._icache_lines(pcs, mode)
-            line_segs = _segment_lines(lines, n, sides)
+        # only the body (indices 4..) is fetched during a pass
+        lines = self._icache_lines(pcs[4:], mode)
+        line_segs = _segment_lines(lines, n - 4, tuple(i - 4 for i in sides))
+        entry_fsm_squash = (instrs[1].opcode in _BRANCH_EXPR
+                            and instrs[1].squash and not entry_sq[1]
+                            and not entry_taken[1])
         source_text, needs_no_ovf, max_pass = _generate(
-            self, head, mode, instrs, n, sources, lines, sq_owner,
-            pcs, inv_sides, linear, entry_taken)
+            self, mode, instrs, pcs, sources, lines, sq_owner, sides,
+            inv_sides, entry_taken, entry_fsm_squash, observed is None)
         namespace = _exec_namespace(self, mode, instrs)
         code = compile(source_text, f"<translated block {head:#x}>", "exec")
         exec(code, namespace)  # noqa: S102 - self-generated source
-        entry_fsm_squash = (linear and instrs[1].opcode in _BRANCH_EXPR
-                            and instrs[1].squash and not entry_sq[1]
-                            and not entry_taken[1])
-        return TranslatedBlock(head, mode, instrs, namespace["_block"],
+        return TranslatedBlock(head, mode, instrs, pcs, namespace["_block"],
                                needs_no_ovf, max_pass, lines, line_segs,
-                               len(sides), (n - 4) in sq_owner, pcs,
-                               linear, entry_sq, entry_taken,
+                               len(sides), entry_sq, entry_taken,
                                entry_fsm_squash)
 
-    def _scan(self, head: int, mode: bool):
-        """Find the backward branch and whitelist every instruction.
+    def _scan(self, entry: int, mode: bool):
+        """Walk the hot path forward from ``entry`` and whitelist it.
 
-        Conditional branches *within* the run are admitted as side
-        exits: taken means an exact mid-pass exit to their target, not
-        taken falls through.  A *squashing* side branch is also exact,
-        because a pass only continues past it when it resolved not
-        taken -- the wrong way for a squash-filled branch -- so its two
-        delay slots are annulled on every continuing pass and compile
-        to squashed no-op flights (see ``sq_owner`` in the generator).
-        The loop branch's own delay slots still refuse branches -- a
-        branch there resolves after the pass boundary.
+        A forward conditional branch is a side exit: taken means an
+        exact mid-pass exit to its target, not taken falls through.  A
+        *squashing* side is also exact, because a pass only continues
+        past it when it resolved not taken -- the wrong way for a
+        squash-filled branch -- so its two delay slots are annulled on
+        every continuing pass and compile to squashed no-op flights (see
+        ``sq_owner``).  The first backward branch ends the walk:
+
+        * a branch back to ``entry`` *closes* the path;
+        * a branch to below ``entry`` is followed, once, as a *seam*: it
+          becomes a polarity-inverted side (the pass continues when it
+          is taken, so its slots execute and nothing squashes) and the
+          walk resumes at its target, strictly below ``entry``, until a
+          branch to ``entry`` closes the path;
+        * any other backward branch, or a seam that does not close
+          within ``MAX_BLOCK_WORDS``, ends a *one-pass* path.
+
+        The terminating branch's two delay slots end the body.
+
+        A one-pass path's prologue is the four flights observed in the
+        latches *right now* (``note_target`` compiles at a live
+        arrival): their PCs, squash pattern and branch outcomes become
+        the entry contract, and arrivals that do not reproduce it are
+        rejected at entry and stay interpreted -- hot targets have a
+        dominant arrival path, so the observed instance is the one that
+        pays.  A closing path's prologue is its own tail.
+
+        Returns ``(path, inv_sides, observed)`` or ``None``: ``path``
+        lists ``(pc, instr)`` over the combined prologue+body sequence,
+        and ``observed`` is ``(entry_sq, entry_taken)`` for a one-pass
+        path and ``None`` for a closing one.
         """
         pipe = self.pipeline
         decode_at = pipe._decode_at
-        instrs = []
-        branch_at = -1
-        for k in range(MAX_BLOCK_WORDS + 1):
-            instr = decode_at(head + k, mode)
-            if instr.opcode in _BRANCH_EXPR:
-                target = (head + k + instr.imm) & _MASK
-                if target == head and k >= 1:
-                    branch_at = k
-                    instrs.append(instr)
-                    break
-                instrs.append(instr)  # side exit
-                continue
-            if not _translatable(instr):
-                return None
-            instrs.append(instr)
-        else:
+        body: List[Tuple[int, object]] = []
+
+        def to_branch(pc: int, stop: int) -> Optional[int]:
+            """Extend ``body`` from ``pc`` through the first branch that
+            is backward or targets ``entry``; return its target, or
+            ``None`` at an untranslatable word, ``stop`` or the limit."""
+            while len(body) <= MAX_BLOCK_WORDS and pc < stop:
+                instr = decode_at(pc, mode)
+                body.append((pc, instr))
+                if instr.opcode in _BRANCH_EXPR:
+                    target = (pc + instr.imm) & _MASK
+                    if target <= pc or target == entry:
+                        return target
+                elif not _translatable(instr):
+                    return None
+                pc += 1
             return None
-        for k in (branch_at + 1, branch_at + 2):  # the two delay slots
-            instr = decode_at(head + k, mode)
-            if not _translatable(instr):
-                return None
-            instrs.append(instr)
-        return tuple(instrs), branch_at + 3
 
-    def _scan_rotated(self, entry: int, mode: bool):
-        """Recognize a *phase-rotated* loop entered at ``entry``.
+        def delay_slots() -> bool:
+            """Append the last branch's two delay slots."""
+            pc = body[-1][0]
+            for slot in (pc + 1, pc + 2):
+                instr = decode_at(slot, mode)
+                if not _translatable(instr):
+                    return False
+                body.append((slot, instr))
+            return True
 
-        A hot side-branch target ``entry`` inside a straight loop
-        ``h .. h+N-1`` traces its own periodic cycle: ``entry ..`` tail,
-        loop branch taken back to ``h``, head run to a side branch whose
-        target is ``entry``, taken back to ``entry``.  In that rotated
-        frame the side branch *is* the loop branch (backward to the
-        rotated head) and the original loop branch is a polarity-
-        inverted side: the pass continues when it is *taken* (the right
-        way, so its slots execute and nothing squashes) and exits when
-        it falls through.  The instruction sequence is two contiguous
-        PC spans with one seam; everything else -- bypass proof, latch
-        schedule, stats -- is the same periodic machinery.
-
-        Returns ``(instrs, pcs, inv_sides)`` or ``None``.
-        """
-        decode_at = self.pipeline._decode_at
-        instrs: List = []
-        pcs: List[int] = []
-        loop_at = -1
-        loop_target = -1
-        for k in range(MAX_BLOCK_WORDS + 1):
-            instr = decode_at(entry + k, mode)
-            if instr.opcode in _BRANCH_EXPR:
-                target = (entry + k + instr.imm) & _MASK
-                if target < entry:   # the original loop branch
-                    loop_at = k
-                    loop_target = target
-                    instrs.append(instr)
-                    pcs.append(entry + k)
-                    break
-                instrs.append(instr)  # side exit (any other target)
-                pcs.append(entry + k)
-                continue
-            if not _translatable(instr):
-                return None
-            instrs.append(instr)
-            pcs.append(entry + k)
-        else:
+        target = to_branch(entry, _MASK)
+        if target is None or not delay_slots():
             return None
-        for k in (loop_at + 1, loop_at + 2):  # its two delay slots
-            instr = decode_at(entry + k, mode)
-            if not _translatable(instr):
-                return None
-            instrs.append(instr)
-            pcs.append(entry + k)
-        inv_idx = loop_at
-        # head run: loop_target .. the side branch taken back to entry,
-        # plus that branch's two delay slots -- all strictly below entry
-        h = loop_target
-        k2 = 0
-        while h + k2 + 2 < entry and len(instrs) < MAX_BLOCK_WORDS + 3:
-            pc = h + k2
-            instr = decode_at(pc, mode)
-            if instr.opcode in _BRANCH_EXPR:
-                target = (pc + instr.imm) & _MASK
-                if target == entry:   # the rotated loop branch
-                    instrs.append(instr)
-                    pcs.append(pc)
-                    for spc in (pc + 1, pc + 2):
-                        slot = decode_at(spc, mode)
-                        if not _translatable(slot):
-                            return None
-                        instrs.append(slot)
-                        pcs.append(spc)
-                    if len(instrs) > MAX_BLOCK_WORDS + 3:
-                        return None
-                    return tuple(instrs), tuple(pcs), frozenset({inv_idx})
-                if target <= pc:
-                    return None   # unrelated backward branch: refuse
-                instrs.append(instr)  # side exit
-                pcs.append(pc)
-                k2 += 1
-                continue
-            if not _translatable(instr):
-                return None
-            instrs.append(instr)
-            pcs.append(pc)
-            k2 += 1
-        return None
-
-    def _scan_linear(self, entry: int, mode: bool):
-        """Recognize a hot *straight-line run*: ``entry`` is a fetch
-        discontinuity target (a block's fall-through exit or a taken
-        branch's landing) whose body runs forward to the first backward
-        branch plus its two delay slots.  The block executes exactly one
-        pass per entry and then redirects wherever the bottom branch
-        decides -- chaining into the loop blocks on either side.
-
-        The four in-flight predecessors observed in the latches *right
-        now* (``note_target`` compiles at a live arrival) become the
-        *prologue*, indices 0..3: their PCs, squash pattern and branch
-        outcomes are baked into the entry contract, their writebacks --
-        and, for index 1, the MEM stage -- retire during the first pass
-        cycles, and their results seed the body's bypass proof from the
-        latches.  Arrivals that do not reproduce the observed pattern
-        are rejected at entry and stay interpreted; hot targets have a
-        dominant arrival path, so the observed instance is the one that
-        pays.
-
-        Returns ``(instrs, pcs, entry_sq, entry_taken)`` over the
-        combined prologue+body sequence, or ``None``.
-        """
-        pipe = self.pipeline
+        closes = target == entry and len(body) > 3
+        inv_sides: frozenset = frozenset()
+        if target < entry:
+            seam = len(body)
+            if to_branch(target, entry - 2) == entry and delay_slots():
+                closes = True
+                inv_sides = frozenset({seam + 1})  # prologue shifts by 4
+            else:
+                del body[seam:]
+        if closes:
+            return body[-4:] + body, inv_sides, None
         s = pipe.s
         if s[0] is None or s[1] is None or s[2] is None or s[3] is None:
             return None
         mmio_base = pipe.config.mmio_base
-        decode_at = pipe._decode_at
-        instrs: List = []
-        pcs: List[int] = []
+        prologue: List[Tuple[int, object]] = []
         entry_sq: List[bool] = []
         entry_taken: List[bool] = []
         for flight in (s[3], s[2], s[1], s[0]):
@@ -737,87 +620,66 @@ class Translator:
             if instr.opcode in _BRANCH_EXPR:
                 # indices 2..3 resolve mid-pass: only annulled ones are
                 # static; indices 0..1 resolved pre-entry either way
-                if len(instrs) >= 2 and not squashed:
+                if len(prologue) >= 2 and not squashed:
                     return None
             elif not _translatable(instr):
                 return None
-            instrs.append(instr)
-            pcs.append(pc)
+            prologue.append((pc, instr))
             entry_sq.append(squashed)
             entry_taken.append(bool(flight.taken) and not squashed)
-        bottom_at = -1
-        for k in range(MAX_BLOCK_WORDS + 1):
-            instr = decode_at(entry + k, mode)
-            if instr.opcode in _BRANCH_EXPR:
-                target = (entry + k + instr.imm) & _MASK
-                if target <= entry + k:   # backward: the terminator
-                    bottom_at = k
-                    instrs.append(instr)
-                    pcs.append(entry + k)
-                    break
-                instrs.append(instr)  # forward side exit
-                pcs.append(entry + k)
-                continue
-            if not _translatable(instr):
-                return None
-            instrs.append(instr)
-            pcs.append(entry + k)
-        else:
-            return None
-        for k in (bottom_at + 1, bottom_at + 2):  # its two delay slots
-            instr = decode_at(entry + k, mode)
-            if not _translatable(instr):
-                return None
-            instrs.append(instr)
-            pcs.append(entry + k)
-        return (tuple(instrs), tuple(pcs),
-                tuple(entry_sq), tuple(entry_taken))
+        return prologue + body, inv_sides, (tuple(entry_sq),
+                                            tuple(entry_taken))
 
-    def _resolve_operands(self, instrs: tuple, n: int, sq_owner: dict,
-                          linear: bool = False):
+    @staticmethod
+    def _resolve_operands(instrs: tuple, sq_owner: dict, closes: bool):
         """Static bypass routing: map every register read of every
-        instruction to a producer local, a loop-invariant binding, or a
-        literal zero -- or refuse on an unbypassable load-use pair.
-        Annulled slots (``sq_owner`` keys) neither read nor produce:
-        the interpreter's bypass skips squashed flights the same way.
-        Linear blocks walk producers backward without wrapping (one
-        pass, no previous iteration) and skip prologue indices 0..1 as
-        consumers -- their reads resolved before entry; their latched
-        results still serve as producers."""
-        sources: List[dict] = []
+        instruction whose ALU stage runs in the pass (indices 2..n-3) to
+        a producer local, a block-invariant binding, or a literal zero
+        -- or refuse on an unbypassable load-use pair.  Annulled slots
+        (``sq_owner`` keys) neither read nor produce: the interpreter's
+        bypass skips squashed flights the same way.  Producers are
+        walked backward through the pass and its prologue; a closing
+        path then continues into the previous pass (indices ``n-5`` down
+        to the reader itself), whose locals the first pass seeds from
+        the register file (``carried``)."""
+        n = len(instrs)
+        sources: List[dict] = [{} for _ in range(n)]
         invariants = set()
-        for idx, instr in enumerate(instrs):
-            resolved = {}
-            if idx in sq_owner or (linear and idx < 2):
-                sources.append(resolved)
+        carried = set()
+        for idx in range(2, n - 2):
+            if idx in sq_owner:
                 continue
-            for slot, reg in _operand_slots(instr):
+            resolved = sources[idx]
+            earlier = tuple(range(idx - 1, -1, -1))
+            if closes:
+                earlier += tuple(range(n - 5, idx - 1, -1))
+            for slot, reg in _operand_slots(instrs[idx]):
                 if reg == 0:
                     resolved[slot] = "0"
                     continue
                 expr = None
-                for distance in range(1, (idx + 1) if linear else (n + 1)):
-                    p = idx - distance if linear else (idx - distance) % n
+                for p in earlier:
                     if p in sq_owner:
                         continue
                     if instrs[p].writes_register() == reg:
-                        if distance == 1 and instrs[p].opcode == Opcode.LD:
+                        if p == idx - 1 and instrs[p].opcode == Opcode.LD:
                             return None  # load-use: interpreter territory
+                        if p >= idx:
+                            carried.add(p)
                         expr = f"v{p}"
                         break
                 if expr is None:
                     expr = f"rr{reg}"
                     invariants.add(reg)
                 resolved[slot] = expr
-            sources.append(resolved)
-        return sources, invariants
+        return sources, invariants, carried
 
     def _icache_lines(self, pcs: tuple, mode: bool) -> tuple:
         """The (set, tag, word-offsets) triples the block's fetches span,
         in fetch order, for entry-time residency probes and deferred
-        LRU touches.  A rotated block's seam may split (or even repeat)
-        a line; repeats are harmless -- probes and touches follow fetch
-        order exactly.  Empty when the Icache is disabled."""
+        LRU touches.  A seam may split (or even repeat) a line; repeats
+        are harmless -- probes and touches follow fetch order exactly.
+        Empty when the Icache is disabled."""
         icache = self.pipeline.icache
         if not self.pipeline.config.icache.enabled:
             return ()
@@ -954,42 +816,43 @@ def _alu_expr(instr, src: dict) -> Optional[str]:
     return None
 
 
-def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
-              n: int, sources, lines: tuple, sq_owner: Dict[int, int],
-              pcs: tuple, inv_sides: frozenset, linear: bool = False,
-              entry_taken: tuple = ()):  # noqa: C901
+def _generate(translator: Translator, mode: bool, instrs: tuple, pcs: tuple,
+              sources, lines: tuple, sq_owner: Dict[int, int], sides: tuple,
+              inv_sides: frozenset, entry_taken: tuple,
+              entry_fsm_squash: bool, closes: bool):  # noqa: C901
     """Emit the block's specialized function source.
 
-    The emitted per-pass body replays the interpreter's exact event
-    order for cycles ``0..n-1`` of one loop iteration: Ecache probe for
-    the op entering MEM, (implicit always-hit) fetch, writeback,
-    MEM work, ALU work, with the loop branch resolved in cycle ``n-1``.
-    Exits and bails materialize end-of-cycle machine state.
-    ``sq_owner`` slots are annulled on every continuing pass: they are
-    fetched and occupy latch slots but do no work and retire nothing.
-    ``pcs`` maps index to absolute fetch PC (rotated blocks have one
-    seam); ``inv_sides`` are polarity-inverted sides (the original loop
-    branch of a rotated block): the pass continues when they are taken.
+    The emitted pass replays the interpreter's exact event order for
+    cycles ``4..n-1``: cycle ``c`` fetches index ``c``, writes back
+    ``c-4``, runs MEM for ``c-3`` (Ecache probe first) and ALU for
+    ``c-2``.  So the prologue (indices 0..3, in flight at entry; their
+    latched results seed the locals) retires during the first cycles,
+    and the bottom branch at ``n-3`` resolves in cycle ``n-1``.  Exits
+    and bails materialize end-of-cycle machine state.  ``sq_owner``
+    slots are annulled on every continuing pass: they are fetched and
+    occupy latch slots but do no work and retire nothing.  ``sides``
+    are the branches resolved mid-pass; ``inv_sides`` among them are
+    polarity-inverted (a seam): the pass continues when they are taken.
 
-    ``linear`` blocks run the same schedule for exactly one pass over a
-    combined prologue+body sequence: indices 0..3 are already in flight
-    at entry (their latched results seed the locals; ``entry_taken``
-    records prologue branch outcomes), the per-cycle emission covers
-    cycles ``4..n-1`` -- over which every ``(cycle - k) % n`` formula
-    degenerates to its non-wrapping form -- and the bottom backward
-    branch redirects out at cycle ``n-1`` instead of looping.
+    A closing block runs the pass in a loop.  When the bottom branch
+    resolves taken, the fetch PC is back at the entry and the latches
+    hold the tail ``n-4..n-1`` -- the prologue again -- so the back edge
+    rebinds the prologue locals from the tail, counts ``it`` and
+    repeats, unless the cycle budget runs out or a store made the block
+    dirty.  Every exit site adds ``it`` times the per-pass counts to the
+    counts of its own partial pass.
     """
     pipe = translator.pipeline
     config = pipe.config
-    per_site, invariants = sources
+    per_site, invariants, carried = sources
+    n = len(instrs)
+    period = n - 4
     ecache_on = config.ecache.enabled
     icache_on = config.icache.enabled
     lru = icache_on and config.icache.replacement == "lru"
     mode_lit = "True" if mode else "False"
     mmio_base = config.mmio_base
     sq_set = frozenset(sq_owner)
-    n_sq = len(sq_set)
-    n_retired = n - n_sq
 
     writers = {}           # idx -> dest register
     for idx, instr in enumerate(instrs):
@@ -1004,18 +867,16 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                and idx not in sq_set}
     noop_idx = {idx for idx, instr in enumerate(instrs)
                 if instr.is_nop and idx not in sq_set}
-    ld_count = sum(1 for idx in mem_ops if instrs[idx].opcode == Opcode.LD)
-    st_count = len(mem_ops) - ld_count
-    # linear prologue indices 0..1 ran their ALU before entry: any
-    # overflow trap already happened (or not) under interpretation
+    # ALU stages run in-pass for indices 2..n-3 only: prologue 0..1 ran
+    # theirs before entry (any overflow trap already happened, or not),
+    # and the bottom delay slots run theirs after the pass
     needs_no_ovf = any(
         instrs[idx].opcode == Opcode.COMPUTE
         and instrs[idx].funct in (Funct.ADD, Funct.SUB, Funct.MSTEP)
-        for idx in range((2 if linear else 0), n) if idx not in sq_set)
-    max_pass = (n - 4 if linear else n) + (
-        len(mem_ops) * config.ecache.miss_penalty if ecache_on else 0)
+        for idx in range(2, n - 2) if idx not in sq_set)
 
-    # distinct-line prefix counts for the deferred LRU touches
+    # distinct-line prefix counts for the deferred LRU touches: fetch
+    # cycle c pulls body word c-4
     line_prefix = [0] * n
     if lines:
         seen = 0
@@ -1024,48 +885,52 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         for _, _, words in lines:
             boundaries.append(offset)
             offset += len(words)
-        for cycle in range(n):
-            # linear lines cover only the body: fetch cycle c pulls
-            # combined index c = body word c-4
-            while seen < len(boundaries) and boundaries[seen] <= (
-                    cycle - 4 if linear else cycle):
+        for cycle in range(4, n):
+            while seen < len(boundaries) and boundaries[seen] <= cycle - 4:
                 seen += 1
             line_prefix[cycle] = seen
     total_lines = len(lines)
 
     branch = instrs[n - 3]
-    #: every in-run conditional branch resolved mid-pass, in index
-    #: order; segment ordinals for the residency flags index this.
-    #: Linear prologue branches (indices < 4) resolved before entry and
-    #: were already counted by the interpreter -- excluded throughout.
-    all_sides = tuple(i for i in range(4 if linear else 0, n - 3)
-                      if instrs[i].opcode in _BRANCH_EXPR
-                      and i not in sq_set)
     #: normal sides: taken -> exact exit to their target, not-taken ->
     #: fall through.  Annulled branches never resolve and are not here.
-    side_branches = tuple(i for i in all_sides if i not in inv_sides)
+    side_branches = tuple(i for i in sides if i not in inv_sides)
     #: active squashing sides: continuing past one is the wrong way, so
     #: the squash FSM pulses BRANCH_SQUASH for the following cycle.
     squashing_sides = tuple(i for i in side_branches if instrs[i].squash)
     sfs_clear_cycles = {i + 3 for i in squashing_sides}
-    if (linear and instrs[1].opcode in _BRANCH_EXPR and instrs[1].squash
-            and 1 not in sq_set and not entry_taken[1]):
+    if entry_fsm_squash:
         # entered one cycle after prologue index 1 squashed the wrong
         # way: the FSM is in BRANCH_SQUASH at entry and falls back to
         # NORMAL at the end of the first in-block cycle
         sfs_clear_cycles.add(4)
-    branches_per_pass = 1 + len(all_sides)
-    #: taken branches per completed pass: the loop branch plus every
-    #: inverted side (which is taken on the continuing path).
-    taken_per_pass = 1 + len(inv_sides)
 
-    def sides_resolved_by(cycle: int) -> int:
-        """Side branches whose ALU resolution is at or before ``cycle``."""
-        return sum(1 for i in all_sides if i + 2 <= cycle)
+    def counts(cycle: int, kind: str, side_idx: int = -1) -> Dict[str, int]:
+        """Pipeline events of cycles ``4..cycle`` of a pass that ends at
+        a ``kind`` site: writebacks retire indices ``0..cycle-4``, MEM
+        stages run ``1..cycle-3``, branches at ``i`` resolve at ``i+2``."""
+        wb = range(cycle - 3)
+        mem = [instrs[j].opcode for j in range(1, cycle - 2) if j in mem_ops]
+        squashed = sum(1 for j in wb if j in sq_set)
+        taken = sum(1 for i in inv_sides if i + 2 <= cycle)
+        if kind in ("side", "taken"):
+            taken += 1    # this normal side / the bottom branch
+        elif kind == "iexit":
+            taken -= 1    # this inverted side fell through
+        return {
+            "cycles": cycle - 3,
+            "retired": cycle - 3 - squashed,
+            "squashed": squashed,
+            "noops": sum(1 for j in wb if j in noop_idx),
+            "branches": sum(1 for i in sides + (n - 3,) if i + 2 <= cycle),
+            "taken": taken,
+            "loads": mem.count(Opcode.LD),
+            "stores": mem.count(Opcode.ST),
+        }
 
-    def taken_resolved_by(cycle: int) -> int:
-        """Inverted sides resolved (taken) at or before ``cycle``."""
-        return sum(1 for i in inv_sides if i + 2 <= cycle)
+    per_pass = counts(n - 1, "taken")
+    max_pass = period + ((per_pass["loads"] + per_pass["stores"])
+                         * config.ecache.miss_penalty if ecache_on else 0)
 
     out = _Emitter()
     emit = out.emit
@@ -1079,7 +944,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
     # the miss with exact stall timing).  Fixed for the whole
     # activation: in-block fetches hit and cannot evict anything.
     if icache_on and total_lines:
-        for ordinal in range(len(all_sides)):
+        for ordinal in range(len(sides)):
             emit(f"sk{ordinal} = sok[{ordinal}]")
     if any(instrs[idx].opcode == Opcode.COMPUTE
            and instrs[idx].funct == Funct.MOVFRS
@@ -1093,52 +958,46 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         emit("_pswold = P.psw_old.value")
     for reg in sorted(invariants):
         emit(f"rr{reg} = R[{reg}]")
-    # Seeds: locals that can be read (as operands or in bail-site flight
-    # materializations) before their first in-pass assignment.  w locals
-    # hold each writer's last *written-back* value; at entry that is by
-    # definition the register-file content.
-    if linear:
-        # one pass only: w locals are always assigned at their WB cycle
-        # before any site reads them, so only the prologue's latched
-        # results need seeding (an in-flight load's value arrives via
-        # its in-pass MEM stage instead)
-        if 0 in carries_result:
-            emit("v0 = P.s[3].result")
-        if 0 in mem_ops:
-            emit("a0 = P.s[3].mem_address")
-            if instrs[0].opcode == Opcode.ST:
-                emit("sv0 = P.s[3].store_value")
-        if 1 in carries_result and instrs[1].opcode != Opcode.LD:
-            emit("v1 = P.s[2].result")
-        if 1 in mem_ops:
-            emit("a1 = P.s[2].mem_address")
-            if instrs[1].opcode == Opcode.ST:
-                emit("sv1 = P.s[2].store_value")
-    else:
-        for idx in sorted(writers):
-            emit(f"w{idx} = R[{writers[idx]}]")
-            if idx != n - 4:
-                emit(f"v{idx} = w{idx}")
-        if (n - 4) in carries_result:
-            emit("v%d = P.s[3].result" % (n - 4))
-        for idx in sorted(carries_result - set(writers)):
-            if idx != n - 4:
-                emit(f"v{idx} = 0")
-        if (n - 4) in mem_ops:
-            emit("a%d = P.s[3].mem_address" % (n - 4))
-            if instrs[n - 4].opcode == Opcode.ST:
-                emit("sv%d = P.s[3].store_value" % (n - 4))
+    # Seeds: locals that can be read before their first in-pass
+    # assignment.  The prologue's latched results come first (an
+    # in-flight load at index 1 gets its value in its in-pass MEM).
+    if 0 in carries_result:
+        emit("v0 = P.s[3].result")
+    if 0 in mem_ops:
+        emit("a0 = P.s[3].mem_address")
+        if instrs[0].opcode == Opcode.ST:
+            emit("sv0 = P.s[3].store_value")
+    if 1 in carries_result and instrs[1].opcode != Opcode.LD:
+        emit("v1 = P.s[2].result")
+    if 1 in mem_ops:
+        emit("a1 = P.s[2].mem_address")
+        if instrs[1].opcode == Opcode.ST:
+            emit("sv1 = P.s[2].store_value")
+    # A closing block also reads the previous pass: operands carried
+    # over the back edge, and each register's last writeback of a pass
+    # (committed at an exit that precedes this pass's writeback).  On
+    # the first pass both are by definition the register-file content.
+    last_wb = {}
+    if closes:
+        for idx in sorted(carried):
+            emit(f"v{idx} = R[{writers[idx]}]")
+        for idx, reg in writers.items():
+            if idx < period:
+                last_wb[reg] = max(idx, last_wb.get(reg, -1))
+        for reg, idx in sorted(last_wb.items()):
+            emit(f"w{idx} = R[{reg}]")
     emit("pen = 0")
-    emit("it = 0")
-    if not linear:
+    if closes:
+        emit("it = 0")
         emit("while True:")
         out.depth += 1
 
-    def emit_flight(var: str, idx: int, age: int,
-                    side_taken: bool = False,
-                    squashed: bool = False) -> None:
+    def emit_flight(var: str, idx: int, age: int, squashed: bool,
+                    taken: Optional[bool]) -> None:
         """Materialize the idx-instance at stage-age ``age`` (stages
-        completed) exactly as the interpreter would have left it."""
+        completed) exactly as the interpreter would have left it;
+        ``taken`` overrides the outcome of a branch resolved at the
+        site's own cycle."""
         instr = instrs[idx]
         emit(f"{var} = F({pcs[idx]}, I[{idx}])")
         if squashed:
@@ -1149,14 +1008,14 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             return
         op = instr.opcode
         if op in _BRANCH_EXPR:
-            # The loop branch and inverted sides are taken at every
-            # resolution a pass sees (their not-taken is the "exit" /
-            # "iexit" site, which overwrites f2); a normal side resolved
-            # in-pass was *not* taken -- except at its own taken-exit
-            # site, flagged by the caller.  A linear prologue branch
-            # resolved before entry keeps its observed outcome.
-            if (idx == n - 3 or idx in inv_sides or side_taken
-                    or (linear and idx < 2 and entry_taken[idx])):
+            # The bottom branch and inverted sides are taken at every
+            # resolution a continuing pass sees; a normal side resolved
+            # in-pass was not; a prologue branch resolved before entry
+            # keeps its contract outcome.
+            if taken is None:
+                taken = (idx == n - 3 or idx in inv_sides
+                         or (idx < 2 and entry_taken[idx]))
+            if taken:
                 emit(f"{var}.taken = True")
             return
         if op == Opcode.LD:
@@ -1181,175 +1040,99 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             emit(f"{var}.result = v{idx}")
 
     def emit_commits(cycle: int) -> None:
-        """Register-file commits at an end-of-cycle ``cycle`` site: for
-        each written register, the writer with the most recent WB.
-        Linear passes only commit writers whose WB cycle has been
-        reached; earlier registers still hold their entry values."""
-        by_reg: Dict[int, int] = {}
+        """Register-file commits at an end-of-``cycle`` site: for each
+        written register, the writer with the most recent WB -- in this
+        pass, or else (closing blocks) the previous pass's last."""
+        by_reg: Dict[int, Tuple[int, int]] = {}
         for idx, reg in writers.items():
-            if linear:
-                if idx + 4 > cycle:
-                    continue
-                best = by_reg.get(reg)
-                if best is None or idx > best:
-                    by_reg[reg] = idx
+            if idx + 4 <= cycle:
+                rank = n + idx
+            elif last_wb.get(reg) == idx:
+                rank = idx
             else:
-                age = (cycle - (idx + 4)) % n
-                best = by_reg.get(reg)
-                if best is None or age < (cycle - (best + 4)) % n:
-                    by_reg[reg] = idx
+                continue
+            if rank > by_reg.get(reg, (-1, 0))[0]:
+                by_reg[reg] = (rank, idx)
         for reg in sorted(by_reg):
-            emit(f"R[{reg}] = w{by_reg[reg]}")
+            emit(f"R[{reg}] = w{by_reg[reg][1]}")
 
     def emit_site(cycle: int, kind: str, side_idx: int = -1) -> None:
-        """One exit site at the end of emitted-pass cycle ``cycle``.
+        """One exit site at the end of pass cycle ``cycle``.
 
         ``kind``: "bail" (MMIO/dirty/cold-segment mid-pass), "side"
         (the normal side branch at ``side_idx`` resolved taken; exit to
         its target), "iexit" (the inverted side at ``side_idx`` fell
         through; exit past its delay slots, wrong-way squash applied
-        when it has the squash bit), "exit" (loop branch not taken;
-        likewise wrong-way), "ltaken" (a linear block's bottom branch
-        taken: redirect to its target), "canonical" (pass boundary:
-        budget exhausted or dirty store in the final MEM slot).
+        when it has the squash bit), "exit" (bottom branch not taken;
+        likewise wrong-way), "taken" (bottom branch taken: redirect to
+        its target -- for a closing block, the entry, when the budget
+        is exhausted or a store in the final MEM slot made it dirty).
         """
-        mid_pass = kind in ("bail", "side", "iexit")
-        if linear:
-            # exactly one partial pass over cycles 4..cycle (it == 0);
-            # WBs retire combined indices 0..cycle-4
-            cycles_c = cycle - 3
-            sq_c = sum(1 for j in range(4, cycle + 1) if j - 4 in sq_set)
-            retired_c = cycles_c - sq_c
-        elif mid_pass:
-            cycles_c = cycle + 1
-            sq_c = sum(1 for j in range(cycle + 1)
-                       if (j - 4) % n in sq_set)
-            retired_c = cycles_c - sq_c
-        else:
-            cycles_c = 0 if kind == "canonical" else n
-            sq_c = n_sq if kind == "exit" else 0
-            retired_c = n_retired if kind == "exit" else 0
-        # pipeline statistics: it complete taken passes + this partial
-        emit(f"ST.cycles += it * {n} + {cycles_c} + pen")
-        emit(f"ST.fetched += it * {n} + {cycles_c}")
-        emit(f"ST.retired += it * {n_retired} + {retired_c}")
-        if n_sq:
-            emit(f"ST.squashed += it * {n_sq} + {sq_c}")
-        if noop_idx:
-            if linear:
-                partial_noops = sum(
-                    1 for j in range(4, cycle + 1) if j - 4 in noop_idx)
-            elif mid_pass:
-                partial_noops = sum(
-                    1 for j in range(cycle + 1) if (j - 4) % n in noop_idx)
-            else:
-                partial_noops = len(noop_idx) if kind == "exit" else 0
-            emit(f"ST.noops += it * {len(noop_idx)} + {partial_noops}")
-        if kind == "exit":
-            branch_c = branches_per_pass
-            taken_c = len(inv_sides)
-        elif kind == "ltaken":
-            branch_c = branches_per_pass
-            taken_c = 1
-        elif kind == "canonical":
-            branch_c = 0
-            taken_c = 0
-        else:
-            branch_c = sides_resolved_by(cycle)
-            taken_c = taken_resolved_by(cycle)
-            if kind == "side":
-                taken_c += 1   # this normal side resolved taken
-            elif kind == "iexit":
-                taken_c -= 1   # this inverted side resolved not taken
-        it_branches = (f"it * {branches_per_pass}"
-                       if branches_per_pass != 1 else "it")
-        it_taken = (f"it * {taken_per_pass}"
-                    if taken_per_pass != 1 else "it")
-        emit(f"ST.branches += {it_branches} + {branch_c}")
-        emit(f"ST.branches_taken += {it_taken} + {taken_c}")
-        if ld_count or st_count:
-            if linear:
-                # MEM cycles 4..cycle retire combined indices 1..cycle-3
-                # (index 0's MEM stage completed before entry and was
-                # counted under interpretation)
-                part_ld = sum(1 for j in range(4, cycle + 1)
-                              if j - 3 in mem_ops
-                              and instrs[j - 3].opcode == Opcode.LD)
-                part_st = sum(1 for j in range(4, cycle + 1)
-                              if j - 3 in mem_ops
-                              and instrs[j - 3].opcode == Opcode.ST)
-            elif mid_pass:
-                part_ld = sum(1 for j in range(cycle + 1)
-                              if (j - 3) % n in mem_ops
-                              and instrs[(j - 3) % n].opcode == Opcode.LD)
-                part_st = sum(1 for j in range(cycle + 1)
-                              if (j - 3) % n in mem_ops
-                              and instrs[(j - 3) % n].opcode == Opcode.ST)
-            else:
-                part_ld = ld_count if kind == "exit" else 0
-                part_st = st_count if kind == "exit" else 0
-            if ld_count or part_ld:
-                emit(f"ST.loads += it * {ld_count} + {part_ld}")
-            if st_count or part_st:
-                emit(f"ST.stores += it * {st_count} + {part_st}")
+        part = counts(cycle, kind, side_idx)
+
+        def total(key: str) -> str:
+            if closes and per_pass[key]:
+                return f"it * {per_pass[key]} + {part[key]}"
+            return f"{part[key]}"
+
+        # pipeline statistics: it complete passes + this partial one
+        emit(f"ST.cycles += {total('cycles')} + pen")
+        emit(f"ST.fetched += {total('cycles')}")
+        emit(f"ST.retired += {total('retired')}")
+        for key in ("squashed", "noops", "loads", "stores"):
+            if per_pass[key] or part[key]:
+                emit(f"ST.{key} += {total(key)}")
+        emit(f"ST.branches += {total('branches')}")
+        emit(f"ST.branches_taken += {total('taken')}")
         emit("ST.data_stall_cycles += pen")
         if icache_on:
-            emit(f"IST.accesses += it * {n} + {cycles_c}")
-        emit(f"TS.cycles += it * {n} + {cycles_c} + pen")
-        emit(f"TS.instructions += it * {n_retired} + {retired_c}")
+            emit(f"IST.accesses += {total('cycles')}")
+        emit(f"TS.cycles += {total('cycles')} + pen")
+        emit(f"TS.instructions += {total('retired')}")
         if kind == "bail":
             emit("TS.bails += 1")
         elif kind == "side":
             emit("TS.side_exits += 1")
-        # deferred Icache LRU reordering
+        # deferred Icache LRU reordering: every line once per completed
+        # pass, then the lines this partial pass has reached
         if lru and total_lines:
-            if not mid_pass:
-                emit(f"TCH(ws, {total_lines})")
-            else:
+            prefix = line_prefix[cycle]
+            if closes and prefix < total_lines:
                 emit("if it:")
                 out.depth += 1
                 emit(f"TCH(ws, {total_lines})")
                 out.depth -= 1
-                prefix = line_prefix[cycle]
-                if prefix:
-                    emit(f"TCH(ws, {prefix})")
-        # latches: end of ``cycle``, s[k] holds idx (cycle-k) mod n at
-        # stage-age k
+            if prefix:
+                emit(f"TCH(ws, {prefix})")
+        # latches: end of ``cycle``, s[k] holds index cycle-k at
+        # stage-age k; the branch resolved this cycle is at s[2]
+        resolved = {"side": True, "exit": False, "iexit": False}.get(kind)
+        for k in range(5):
+            idx = cycle - k
+            owner = sq_owner.get(idx)
+            # annulled once its branch resolved not taken
+            sq = owner is not None and (
+                cycle > owner + 2
+                or (cycle == owner + 2
+                    and not (kind == "side" and side_idx == owner)))
+            emit_flight(f"f{k}", idx, k, sq, resolved if k == 2 else None)
         wrong_way = (kind == "exit" and branch.squash) or (
             kind == "iexit" and instrs[side_idx].squash)
-        for k in range(5):
-            idx = (cycle - k) % n
-            owner = sq_owner.get(idx)
-            if owner is None:
-                sq = False
-            elif k > cycle:
-                sq = True   # previous-pass instance: that pass continued
-            else:
-                # same pass: annulled once its branch resolved not taken
-                sq = (cycle > owner + 2
-                      or (cycle == owner + 2
-                          and not (kind == "side" and side_idx == owner)))
-            emit_flight(f"f{k}", idx, k, kind == "side" and k == 2, sq)
         if wrong_way:
             emit("f0.squashed = True")
             emit("f1.squashed = True")
-        if kind in ("exit", "iexit"):
-            emit("f2.taken = False")  # overwrite the age>=2 default
         emit("P.s = [f0, f1, f2, f3, f4]")
         emit_commits(cycle)
-        emit(f"CH({pcs[(cycle - 3) % n]}, {pcs[(cycle - 2) % n]}, "
-             f"{pcs[(cycle - 1) % n]})")
+        emit(f"CH({pcs[cycle - 3]}, {pcs[cycle - 2]}, {pcs[cycle - 1]})")
         if kind == "bail":
-            emit(f"P.pc_unit.fetch_pc = {pcs[cycle + 1]}")
-        elif kind in ("side", "ltaken"):
-            target = (pcs[side_idx] + instrs[side_idx].imm) & _MASK
-            emit(f"P.pc_unit.fetch_pc = {target}")
+            fetch_pc = pcs[cycle + 1]
+        elif kind in ("side", "taken"):
+            fetch_pc = (pcs[side_idx] + instrs[side_idx].imm) & _MASK
         elif kind == "iexit":
-            emit(f"P.pc_unit.fetch_pc = {pcs[side_idx] + 3}")
-        elif kind == "exit":
-            emit(f"P.pc_unit.fetch_pc = {pcs[n - 1] + 1}")
+            fetch_pc = pcs[side_idx] + 3
         else:
-            emit(f"P.pc_unit.fetch_pc = {pcs[0]}")
+            fetch_pc = pcs[n - 1] + 1
+        emit(f"P.pc_unit.fetch_pc = {fetch_pc}")
         if wrong_way:
             emit("ST.branch_squashes += 1")
             emit("SFS(False, True)")
@@ -1370,10 +1153,10 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         return f"_ba {cmp_op} _bb"
 
     # ------------------------------------------------- per-cycle emission
-    for cycle in range(4 if linear else 0, n):
-        probe_idx = (cycle - 3) % n
-        wb_idx = (cycle - 4) % n
-        alu_idx = (cycle - 2) % n
+    for cycle in range(4, n):
+        probe_idx = cycle - 3
+        wb_idx = cycle - 4
+        alu_idx = cycle - 2
         emit(f"# cycle {cycle}: fetch {pcs[cycle]:#x} | wb i{wb_idx} "
              f"| mem i{probe_idx} | alu i{alu_idx}")
         bail_conditions = []
@@ -1394,15 +1177,14 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                     bail_conditions.append("TR.dirty")
         # ALU work
         if alu_idx == n - 3:
-            # loop branch: resolved below, after any store-dirty check
+            # bottom branch: resolved below, after any store-dirty check
             pass
         elif alu_idx in sq_set:
             pass  # annulled delay slot: fetched, no work, no effects
         elif alu_idx in inv_sides:
-            # inverted side (rotated frame): this is the original loop
-            # branch, and TAKEN is the way that *continues* the rotated
-            # sequence -- its delay slots straddle the seam and always
-            # execute.  Not-taken exits at the original fall-through;
+            # inverted side (the seam): TAKEN is the way that
+            # *continues* the path -- its delay slots straddle the seam
+            # and always execute.  Not-taken exits at the fall-through;
             # for a squash-filled branch that is the wrong way, so the
             # iexit site annuls the two seam slots and pulses the FSM.
             cond = emit_branch_cond(alu_idx)
@@ -1412,8 +1194,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             out.depth -= 1
             if icache_on and total_lines:
                 # continuing crosses the seam into this side's segment
-                bail_conditions.append(
-                    f"not sk{all_sides.index(alu_idx)}")
+                bail_conditions.append(f"not sk{sides.index(alu_idx)}")
         elif alu_idx in side_branches:
             # side branch: taken -> exact exit to its target.  The
             # redirect out-prioritizes a dirty store committed this same
@@ -1434,8 +1215,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             if icache_on and total_lines:
                 # next fetch (cycle+1) starts this side's fall-through
                 # segment; if it was cold at entry, bail before it
-                bail_conditions.append(
-                    f"not sk{all_sides.index(alu_idx)}")
+                bail_conditions.append(f"not sk{sides.index(alu_idx)}")
         else:
             instr = instrs[alu_idx]
             src = per_site[alu_idx]
@@ -1465,32 +1245,35 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             emit_site(cycle, "bail")
             out.depth -= 1
 
-    # --------------------------------------------- loop branch resolution
+    # ------------------------------------------- bottom branch resolution
     cond = emit_branch_cond(n - 3)
-    if linear:
-        # one pass: the bottom backward branch redirects out either way
-        emit(f"if {cond}:")
-        out.depth += 1
-        emit_site(n - 1, "ltaken", n - 3)
-        out.depth -= 1
-        emit("else:")
-        out.depth += 1
-        emit_site(n - 1, "exit")
-        out.depth -= 1
-    else:
-        emit(f"if {cond}:")
-        out.depth += 1
-        emit("it += 1")
-        exit_conditions = [f"bud - it * {n} - pen < {max_pass}"]
+    emit(f"if {cond}:")
+    out.depth += 1
+    if closes:
+        # back edge: stop before a pass that might overrun the budget
+        stop = [f"bud - it * {period} - pen < {max_pass + period}"]
         if (n - 4) in mem_ops and instrs[n - 4].opcode == Opcode.ST:
-            exit_conditions.insert(0, "TR.dirty")
-        emit(f"if {' or '.join(exit_conditions)}:")
+            stop.insert(0, "TR.dirty")
+        emit(f"if {' or '.join(stop)}:")
         out.depth += 1
-        emit_site(n - 1, "canonical")
-        out.depth -= 2
-        emit("else:")
-        out.depth += 1
-        emit_site(n - 1, "exit")
+        emit_site(n - 1, "taken", n - 3)
         out.depth -= 1
+        emit("it += 1")
+        # the tail becomes the next pass's prologue; indices 1..3 carry
+        # no values past the back edge (the bottom branch, and two
+        # slots whose ALU stages have not run yet)
+        if 0 in carries_result:
+            emit(f"v0 = v{n - 4}")
+        if 0 in mem_ops:
+            emit(f"a0 = a{n - 4}")
+            if instrs[0].opcode == Opcode.ST:
+                emit(f"sv0 = sv{n - 4}")
+    else:
+        emit_site(n - 1, "taken", n - 3)
+    out.depth -= 1
+    emit("else:")
+    out.depth += 1
+    emit_site(n - 1, "exit")
+    out.depth -= 1
 
     return out.source(), needs_no_ovf, max_pass

@@ -48,8 +48,10 @@ cross-node stall interleaving is visible on one timeline.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Dict, Iterable, List
 
+from repro.store import write_durable
 from repro.telemetry.tracer import STAGES, CycleTracer
 
 #: pid for the single simulated core
@@ -228,19 +230,24 @@ def jit_trace_events(spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
+def _write_validated(path, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Schema-gate ``payload`` and write it to ``path`` through
+    :func:`repro.store.write_durable` (a crash mid-write leaves the
+    previous file); returns the payload."""
+    problems = validate_trace_events(payload)
+    if problems:
+        raise ValueError("invalid trace payload: " + "; ".join(problems))
+    text = json.dumps(payload, indent=1) + "\n"
+    write_durable(Path(path), text.encode("utf-8"))
+    return payload
+
+
 def write_jit_trace(path, spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Validate and write a translated-block span trace to ``path``.
 
     Same schema gate as :func:`write_trace`; returns the payload.
     """
-    payload = jit_trace_events(spans)
-    problems = validate_trace_events(payload)
-    if problems:
-        raise ValueError("invalid trace payload: " + "; ".join(problems))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    return payload
+    return _write_validated(path, jit_trace_events(spans))
 
 
 def validate_trace_events(payload: Any) -> List[str]:
@@ -289,14 +296,7 @@ def write_trace(path, tracer: CycleTracer) -> Dict[str, Any]:
     Raises ``ValueError`` listing the problems if the payload fails
     :func:`validate_trace_events`; returns the payload on success.
     """
-    payload = trace_events(tracer)
-    problems = validate_trace_events(payload)
-    if problems:
-        raise ValueError("invalid trace payload: " + "; ".join(problems))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    return payload
+    return _write_validated(path, trace_events(tracer))
 
 
 def write_multi_trace(path, tracers: Iterable[CycleTracer]) -> Dict[str, Any]:
@@ -305,11 +305,4 @@ def write_multi_trace(path, tracers: Iterable[CycleTracer]) -> Dict[str, Any]:
     The multiprocessor analogue of :func:`write_trace`: same schema
     gate, one pid per node (see :func:`multi_trace_events`).
     """
-    payload = multi_trace_events(tracers)
-    problems = validate_trace_events(payload)
-    if problems:
-        raise ValueError("invalid trace payload: " + "; ".join(problems))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    return payload
+    return _write_validated(path, multi_trace_events(tracers))

@@ -71,6 +71,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.asm import assemble, listing, parse
@@ -78,6 +79,7 @@ from repro.coproc import Fpu
 from repro.core import Machine, MachineConfig, perfect_memory_config
 from repro.harness.verdict import exit_code
 from repro.lang import compile_spl
+from repro.store import write_durable
 from repro.tools.pipeview import PipelineTracer
 
 
@@ -106,6 +108,12 @@ def _print_stats(machine: Machine) -> None:
               f"blocks, {snap['core.translate.entries.taken']} entries, "
               f"{coverage:.1%} cycle coverage")
     print(f"@20 MHz       {20.0 / cpi if cpi else 0.0:.1f} sustained MIPS")
+
+
+def _write_metrics(path: str, metrics) -> None:
+    """Write a metrics snapshot durably: a crash leaves the old file."""
+    write_durable(Path(path), (metrics.to_json() + "\n").encode("utf-8"))
+    print(f"metrics written to {path}")
 
 
 def _run_machine(program, args) -> int:
@@ -226,10 +234,7 @@ def _cmd_trace_multi(args) -> int:
           f"{system.bus.contention_cycles} contention cycles) -- open in "
           "ui.perfetto.dev")
     if args.metrics_output:
-        with open(args.metrics_output, "w", encoding="utf-8") as handle:
-            handle.write(metrics.to_json())
-            handle.write("\n")
-        print(f"metrics written to {args.metrics_output}")
+        _write_metrics(args.metrics_output, metrics)
     if not system.all_halted:
         print(f"warning: did not halt within {args.max_cycles} cycles",
               file=sys.stderr)
@@ -269,10 +274,7 @@ def cmd_trace(args) -> int:
           f"{len(tracer.stall_spans)} stall spans, "
           f"{len(tracer.instants)} events) -- open in ui.perfetto.dev")
     if args.metrics_output:
-        with open(args.metrics_output, "w", encoding="utf-8") as handle:
-            handle.write(metrics.to_json())
-            handle.write("\n")
-        print(f"metrics written to {args.metrics_output}")
+        _write_metrics(args.metrics_output, metrics)
     if args.stats:
         _print_stats(machine)
     if not machine.halted:

@@ -21,8 +21,11 @@ equivalence style for the zero-overhead argument:
   missing sections).
 """
 
+import contextlib
 import dataclasses
 import json
+import resource
+import signal
 
 import pytest
 
@@ -30,7 +33,8 @@ from repro.core import Machine
 from repro.telemetry import (CATALOG, CATALOG_BY_NAME, CycleTracer, Metrics,
                              check_counter_consistency,
                              derived_from_counters, merge_counter_snapshots,
-                             trace_events, validate_trace_events, write_trace)
+                             trace_events, validate_trace_events, write_jit_trace,
+                             write_trace)
 from repro.workloads import get
 
 
@@ -218,6 +222,53 @@ class TestPerfettoExport:
         assert validate_trace_events(loaded) == []
         names = {event["name"] for event in loaded["traceEvents"]}
         assert "process_name" in names       # metadata made it through
+
+
+@contextlib.contextmanager
+def _disk_fills_at(limit: int):
+    """Fail every write past ``limit`` bytes of a file with EFBIG, the
+    way a filling disk fails a write partway through."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+class TestInterruptedWrites:
+    """Trace and ``--metrics-output`` files are written through
+    :func:`repro.store.write_durable`: a write that fails partway
+    leaves the previous file whole, and no temp debris."""
+
+    @staticmethod
+    def _write(kind: str, path) -> None:
+        if kind == "trace":
+            tracer = CycleTracer(_machine(), capacity=256)
+            tracer.run()
+            write_trace(path, tracer)
+        elif kind == "jit-trace":
+            spans = [{"head": k, "n": 8, "start_cycle": 10 * k,
+                      "end_cycle": 10 * k + 8, "cycles": 8}
+                     for k in range(200)]
+            write_jit_trace(path, spans)
+        else:
+            from repro.tools.cli import _write_metrics
+
+            _write_metrics(str(path), _machine().metrics())
+
+    @pytest.mark.parametrize("kind", ["trace", "jit-trace", "metrics"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, kind):
+        out = tmp_path / "out.json"
+        out.write_text('{"previous": true}\n')
+        with _disk_fills_at(1024), pytest.raises(OSError):
+            self._write(kind, out)
+        assert out.read_text() == '{"previous": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        self._write(kind, out)               # a clean write replaces it
+        assert json.loads(out.read_text()) != {"previous": True}
 
 
 # ------------------------------------------------- aggregation determinism

@@ -4,10 +4,12 @@
 closures (:mod:`repro.core.translate`).  The contract these tests pin is
 total equivalence with the interpretive pipeline -- every architectural
 register, every memory word, every pipeline/cache counter, *including
-the cycle count* -- across all three block shapes (straight periodic
-loops, phase-rotated loops, linear one-pass blocks) and across every
-way a block can stop being valid: self-modifying stores, squashing
-branches at the block boundary, exceptions, and LRU eviction.
+the cycle count* -- for the one block shape in each of its forms (a
+path that closes on its entry, directly or through a seam, and a
+one-pass path) and across every way a block can stop being valid:
+self-modifying stores, squashing branches at the block boundary,
+exceptions, and LRU eviction.  Coverage floors pin what the closing
+form buys: whole loops repeat inside one closure activation.
 
 The full-state signature compared here is the same one the fuzz
 campaign's jit-vs-interpreter oracle uses
@@ -20,6 +22,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import Machine, MachineConfig, PswBit, perfect_memory_config
+from repro.core import translate
 from repro.fuzz.gen import generate_program
 from repro.fuzz.oracle import (_machine_signature, _programs_for, check_all,
                                check_jit_equivalence, run_pipeline)
@@ -44,6 +47,13 @@ def assert_bit_identical(program, **jit_overrides):
 
 
 # --------------------------------------------------------------- workloads
+#: translated-cycle coverage (translated cycles / all cycles) of the
+#: suite programs under ``jit=True``, measured and rounded down
+COVERAGE_FLOORS = {"sieve": 0.99, "bubble": 0.95, "queens": 0.33,
+                   "intmm": 0.24, "quick": 0.53, "listops": 0.24,
+                   "perm": 0.03, "towers": 0.0}
+
+
 class TestWorkloadEquivalence:
     def test_sieve_bit_identical(self):
         from repro.workloads import cached_program
@@ -53,6 +63,9 @@ class TestWorkloadEquivalence:
         assert stats.compiled > 0 and stats.entries > 0
         # the headline claim: most cycles run translated
         assert stats.cycles / reference.stats.cycles > 0.9
+        # loops repeat inside the closure: a closing path runs pass after
+        # pass along its back edge (one pass per entry reads about 9)
+        assert stats.cycles / stats.entries >= 30
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ["bubble", "intmm", "quick", "perm",
@@ -62,11 +75,58 @@ class TestWorkloadEquivalence:
 
         assert_bit_identical(cached_program(name))
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(COVERAGE_FLOORS))
+    def test_coverage_floor(self, name):
+        from repro.workloads import cached_program
+
+        machine = run(cached_program(name), jit=True)
+        translated = machine.pipeline._translator.stats.cycles
+        assert translated / machine.stats.cycles >= COVERAGE_FLOORS[name]
+
     @pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE])
     def test_random_loops_bit_identical(self, seed):
         program = assemble(random_loop_program(seed, iterations=12))
         _, jit = assert_bit_identical(program, jit_threshold=2)
         assert jit.pipeline._translator.stats.entries > 0
+
+
+# ------------------------------------------------------------ seam paths
+SEAM_LOOP = """
+_start:
+    li s0, 40
+    li s1, 1
+    li t0, 0
+loop:
+    sub s0, s0, s1
+    bne s0, r0, mid
+    nop
+    nop
+    add t0, t0, s1
+mid:
+    add t0, t0, s0
+    xor t1, t0, s0
+    bne s0, r0, loop
+    nop
+    nop
+    halt
+"""
+
+
+class TestSeamPath:
+    def test_path_through_a_seam_closes_bit_identical(self):
+        # "mid" is the hot target: its path runs to the bottom branch,
+        # follows it to "loop" as a seam, and closes at the branch back
+        # to "mid", so the closure repeats across the seam.
+        program = assemble(SEAM_LOOP)
+        _, jit = assert_bit_identical(program, jit_threshold=2)
+        translator = jit.pipeline._translator
+        mid = program.symbols["mid"]
+        block = translator.blocks[mid]
+        body = block.pcs[4:]
+        assert body[0] == mid and min(body) < mid     # crossed the seam
+        assert block.pcs[:4] == block.pcs[-4:]        # closes on its entry
+        assert translator.stats.cycles / translator.stats.entries > 30
 
 
 # ----------------------------------------------------- self-modifying code
@@ -247,10 +307,10 @@ l3: add t0, t0, s1
 
 
 class TestAdmissionBounds:
-    def test_block_cache_is_bounded_and_evicts_lru(self):
+    def test_block_cache_is_bounded_and_evicts_lru(self, monkeypatch):
+        monkeypatch.setattr(translate, "MAX_BLOCKS", 2)
         program = assemble(THREE_LOOPS)
-        reference, jit = assert_bit_identical(
-            program, jit_threshold=2, jit_max_blocks=2)
+        reference, jit = assert_bit_identical(program, jit_threshold=2)
         translator = jit.pipeline._translator
         stats = translator.stats
         assert len(translator.blocks) <= 2
