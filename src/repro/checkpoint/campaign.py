@@ -2,12 +2,14 @@
 
 Three sections, each a falsifiable claim about the checkpoint layer:
 
-* **equivalence** -- for every named workload (and a band of fuzz
-  seeds), run to a mid-point, snapshot, JSON-round-trip, restore into a
-  *fresh* machine, finish, and require the full machine signature
-  (registers, MD/PSW, memory, console, caches, all pipeline metrics) to
-  be bit-identical to an uninterrupted run -- with the JIT both off and
-  on.  This is the differential gate the tentpole promises.
+* **equivalence** -- for every named workload, the 4-node parallel
+  sieve, and a band of fuzz seeds, restore a mid-run snapshot into a
+  *fresh* target, finish, and require its signature (registers, MD/PSW,
+  memory, console, devices, caches, all pipeline counters; bus and
+  global cycles on a MultiMachine) to be bit-identical to an
+  uninterrupted run -- with the JIT both off and on.  The restore and
+  the signature are the ones of :mod:`repro.checkpoint.equivalence`,
+  which the fuzz oracle and the devices gate share.
 * **chaos** -- run a grid of checkpointed simulation jobs under the
   process harness with a :class:`~repro.harness.runner.ChaosMonkey`
   that SIGKILLs doomed workers *right after their first snapshot
@@ -38,9 +40,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.core.processor import Machine
-from repro.harness.bench import REPO_ROOT, write_json_atomic
 from repro.harness.runner import Job, Runner
-from repro.harness.verdict import Verdict
+from repro.harness.verdict import Verdict, write_report
+from repro.checkpoint.equivalence import (mismatches, restore_midrun,
+                                          signature)
 from repro.checkpoint.run import CheckpointStats, run_with_checkpoints
 from repro.checkpoint.state import (
     FORMAT,
@@ -51,6 +54,7 @@ from repro.checkpoint.state import (
     restore_machine,
 )
 from repro.checkpoint.store import SnapshotStore, state_cycles
+from repro.store import REPO_ROOT
 
 DEFAULT_REPORT = REPO_ROOT / "CHECKPOINT_campaign.json"
 
@@ -60,6 +64,9 @@ JOB_TIMEOUT = 120.0
 
 #: named single-core workloads for the equivalence and chaos sections
 WORKLOADS = ("sieve", "bubble")
+
+#: cycle budget of every equivalence and chaos run; each halts well inside
+MAX_CYCLES = 10_000_000
 
 
 # ------------------------------------------------------------ equivalence
@@ -82,99 +89,60 @@ def _workload_program(name: str):
     return cached_program(name)
 
 
-def _check_workload_case(name: str, jit: bool) -> Dict[str, Any]:
-    """Snapshot a named workload halfway, restore fresh, finish, and
-    compare against the uninterrupted run -- the oracle's signature
-    comparison, without the fuzz generator."""
-    from repro.fuzz.oracle import _machine_signature
+def _check_restore_case(case: Dict[str, Any]) -> Dict[str, Any]:
+    """Restore a named workload (or the parallel sieve on a
+    MultiMachine) from a halfway snapshot into a fresh target, finish,
+    and compare its signature with the uninterrupted run's."""
+    from repro.multi.system import MultiMachine
+    from repro.workloads.parallel import parallel_program
 
-    program = _workload_program(name)
-    config = MachineConfig(jit=jit)
+    multi = case["kind"] == "multi"
 
-    straight = Machine(config)
-    straight.load_program(program)
-    straight.run(10_000_000)
-    if not straight.halted:
-        return {"status": "no-halt", "detail": f"{name} never halted"}
-    total = straight.stats.cycles
+    def loaded():
+        if multi:
+            target = MultiMachine(case["nodes"])
+            target.load_program(parallel_program(case["name"],
+                                                 case["nodes"]))
+        else:
+            target = Machine(MachineConfig(jit=case["jit"]))
+            target.load_program(_workload_program(case["name"]))
+        return target
 
-    first = Machine(config)
-    first.load_program(program)
-    first.run(max(1, total // 2))
-    state = json.loads(json.dumps(first.snapshot()))
+    def halted(target) -> bool:
+        return target.all_halted if multi else target.halted
 
-    second = Machine(config)
-    second.load_program(program)
-    second.restore(state)
-    second.run(10_000_000)
-    if not second.halted:
-        return {"status": "no-halt", "detail": f"{name} resumed run hung"}
-
-    want = _machine_signature(straight)
-    got = _machine_signature(second)
-    if want != got:
-        keys = [key for key in want if want[key] != got[key]]
+    straight = loaded()
+    straight.run(MAX_CYCLES)
+    if not halted(straight):
+        return {"status": "no-halt", "detail": f"{case['name']} never halted"}
+    total = straight.cycles if multi else straight.stats.cycles
+    restored, state = restore_midrun(loaded(), max(1, total // 2),
+                                     MAX_CYCLES)
+    if not halted(restored):
+        return {"status": "no-halt",
+                "detail": f"{case['name']} resumed run hung"}
+    keys = mismatches(signature(straight), signature(restored))
+    if keys:
         return {"status": "diverged", "detail": f"signature keys {keys}"}
     return {"status": "ok", "cycles": total,
             "snapshot_cycles": state_cycles(state)}
 
 
-def _check_multi_case(nodes: int) -> Dict[str, Any]:
-    """Same round-trip for the parallel sieve on a MultiMachine."""
-    from repro.fuzz.oracle import _machine_signature
-    from repro.multi.system import MultiMachine
-    from repro.workloads.parallel import parallel_program
-
-    program = parallel_program("psieve", nodes)
-
-    def multi_sig(system: MultiMachine) -> Dict[str, Any]:
-        return {
-            "nodes": [_machine_signature(machine)
-                      for machine in system.machines],
-            "bus": dataclasses.asdict(system.bus),
-            "cycles": system.cycles,
-            "console": (list(system.console.values), system.console.text),
-        }
-
-    straight = MultiMachine(nodes)
-    straight.load_program(program)
-    straight.run(10_000_000)
-    if not straight.all_halted:
-        return {"status": "no-halt", "detail": "psieve never halted"}
-    total = straight.cycles
-
-    first = MultiMachine(nodes)
-    first.load_program(program)
-    while not first.all_halted and first.cycles < max(1, total // 2):
-        first.step()
-    state = json.loads(json.dumps(first.snapshot()))
-
-    second = MultiMachine(nodes)
-    second.load_program(program)
-    second.restore(state)
-    second.run(10_000_000)
-    if not second.all_halted:
-        return {"status": "no-halt", "detail": "psieve resumed run hung"}
-    if multi_sig(straight) != multi_sig(second):
-        return {"status": "diverged", "detail": "multi signature mismatch"}
-    return {"status": "ok", "cycles": total,
-            "snapshot_cycles": state_cycles(state)}
-
-
-def _check_fuzz_case(seed: int, mode: str, jit: bool) -> Dict[str, Any]:
+def _check_fuzz_case(case: Dict[str, Any]) -> Dict[str, Any]:
     """One fuzz seed through the oracle's checkpoint differential."""
     from repro.fuzz.gen import GenConfig, generate_program
     from repro.fuzz.oracle import (
-        _programs_for,
         check_checkpoint_equivalence,
+        programs_for,
         run_pipeline,
     )
 
-    generated = generate_program(seed, GenConfig(mode=mode, quick=True))
-    _naive, reorganized = _programs_for(generated)
+    generated = generate_program(case["seed"],
+                                 GenConfig(mode=case["mode"], quick=True))
+    _naive, reorganized = programs_for(generated)
     reference = run_pipeline(reorganized, generated)
     report = check_checkpoint_equivalence(reorganized, generated,
-                                          reference, jit=jit)
+                                          reference, jit=case["jit"])
     if report is None:
         return {"status": "ok"}
     return {"status": "diverged", "detail": report.kind,
@@ -183,13 +151,8 @@ def _check_fuzz_case(seed: int, mode: str, jit: bool) -> Dict[str, Any]:
 
 def equivalence_point(case: Dict[str, Any]) -> Dict[str, Any]:
     """One equivalence job (also the picklable Runner entry point)."""
-    if case["kind"] == "workload":
-        verdict = _check_workload_case(case["name"], case["jit"])
-    elif case["kind"] == "multi":
-        verdict = _check_multi_case(case["nodes"])
-    else:
-        verdict = _check_fuzz_case(case["seed"], case["mode"], case["jit"])
-    return {**case, **verdict}
+    check = _check_fuzz_case if case["kind"] == "fuzz" else _check_restore_case
+    return {**case, **check(case)}
 
 
 def _case_id(case: Dict[str, Any]) -> str:
@@ -216,21 +179,18 @@ def run_equivalence(fuzz_seeds: int = 50,
     results = runner.run(jobs, parallel=parallel)
 
     rows: List[Dict[str, Any]] = []
-    ok = diverged = harness = 0
+    harness = 0
     for result in results:
         if result.ok and isinstance(result.value, dict):
-            verdict = result.value
-            rows.append({"id": result.job_id, **verdict})
-            if verdict["status"] == "ok":
-                ok += 1
-            else:
-                diverged += 1
+            rows.append({"id": result.job_id, **result.value})
         else:
             harness += 1
             rows.append({"id": result.job_id, "status": result.status,
                          "error_kind": result.error_kind,
                          "error": result.error})
-    return {"cases": len(cases), "ok": ok, "diverged": diverged,
+    ok = sum(1 for row in rows if row["status"] == "ok")
+    return {"cases": len(cases), "ok": ok,
+            "diverged": len(rows) - ok - harness,
             "harness_failures": harness,
             "failures": [row for row in rows if row["status"] != "ok"]}
 
@@ -259,7 +219,7 @@ def checkpoint_point(workload: str, run_id: str, store_root: str,
             os.kill(os.getpid(), signal.SIGKILL)
 
     stats = run_with_checkpoints(machine, store, run_id,
-                                 max_cycles=10_000_000,
+                                 max_cycles=MAX_CYCLES,
                                  every_cycles=every_cycles,
                                  after_snapshot=after_snapshot)
     if not machine.halted:
@@ -274,7 +234,7 @@ def _chaos_reference(workload: str) -> Dict[str, Any]:
     """The uninterrupted, checkpoint-free reference for one workload."""
     machine = Machine()
     machine.load_program(_workload_program(workload))
-    machine.run(10_000_000)
+    machine.run(MAX_CYCLES)
     return {"metrics": machine.metrics().snapshot(),
             "console": list(machine.console.values)}
 
@@ -475,9 +435,7 @@ def run_campaign(fuzz_seeds: int = 50,
                and equivalence["harness_failures"] == 0
                and chaos["ok"] and corruption["ok"]),
     }
-    path = pathlib.Path(output) if output else DEFAULT_REPORT
-    write_json_atomic(path, payload)
-    payload["report_path"] = str(path)
+    write_report(payload, output, DEFAULT_REPORT)
     return payload
 
 

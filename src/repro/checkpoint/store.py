@@ -33,14 +33,13 @@ from repro.checkpoint.state import (
     SnapshotIntegrityError,
 )
 from repro.store import (
+    REPO_ROOT,
     get_verified,
     pid_lock,
     put_verified,
     sidecar_path,
 )
 
-#: src/repro/checkpoint/store.py -> repository root
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_ROOT = REPO_ROOT / ".trace_cache" / "checkpoints"
 
 

@@ -27,9 +27,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.faults.invariants import differential_for_seed
 from repro.faults.plan import FAULT_CLASSES
-from repro.harness.bench import REPO_ROOT, write_json_atomic
 from repro.harness.runner import ChaosMonkey, Job, JobResult, Runner
-from repro.harness.verdict import Verdict
+from repro.harness.verdict import Verdict, write_report
+from repro.store import REPO_ROOT
 
 DEFAULT_REPORT = REPO_ROOT / "FAULTS_campaign.json"
 
@@ -146,18 +146,21 @@ def run_campaign(seeds: int = 32,
     }
     if unhandled:
         payload["unhandled"] = unhandled
-    path = pathlib.Path(output) if output else DEFAULT_REPORT
-    write_json_atomic(path, payload)
-    payload["report_path"] = str(path)
+    write_report(payload, output, DEFAULT_REPORT)
     return payload
 
 
 def verdict(payload: Dict[str, Any]) -> Verdict:
     """The report's verdict, for ``repro faults`` (with or without
     ``--multi-nodes``): violations are findings, unhandled jobs are
-    harness failures."""
+    harness failures, and a run cut short by a signal is incomplete."""
     summary = payload["summary"]
     result = Verdict()
+    if not payload.get("complete", True):
+        result.incomplete.append(
+            f"{summary.get('interrupted_jobs', 0)} campaign job(s) were "
+            "interrupted before they ran: the report is incomplete "
+            "(rerun the campaign)")
     if summary["violated"]:
         result.findings.append(f"{summary['violated']} invariant "
                                "violation(s) classified (see report)")

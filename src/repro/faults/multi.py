@@ -35,10 +35,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import MachineConfig
 from repro.faults.campaign import aggregate, summary_counts
 from repro.faults.plan import WARMUP_CYCLES
-from repro.harness.bench import REPO_ROOT, write_json_atomic
 from repro.harness.runner import Job, Runner
+from repro.harness.verdict import write_report
 from repro.lang.codegen import NODE_STACK_WORDS, STACK_TOP
 from repro.multi.system import MultiMachine
+from repro.store import REPO_ROOT
 from repro.workloads.parallel import QUICK_SIZES, parallel_program
 
 DEFAULT_MULTI_REPORT = REPO_ROOT / "FAULTS_multi.json"
@@ -220,8 +221,11 @@ def run_multi_campaign(seeds: int = 16,
     runner = Runner(max_workers=workers, default_timeout=JOB_TIMEOUT)
     results = runner.run(jobs, parallel=parallel)
 
+    # interrupted jobs stay unhandled here (exit 1), and also mark the
+    # report incomplete
     unhandled = {r.job_id: (r.error or r.status) for r in results
                  if not r.ok}
+    interrupted = sum(1 for r in results if r.status == "interrupted")
     classes = aggregate(results, MULTI_FAULT_CLASSES, counters=(),
                         context=("workload", "victim"))
     payload: Dict[str, Any] = {
@@ -229,9 +233,11 @@ def run_multi_campaign(seeds: int = 16,
         "seeds": seeds,
         "nodes": nodes,
         "quick": quick,
+        "complete": interrupted == 0,
         "summary": {
             **summary_counts(classes),
             "unhandled_jobs": len(unhandled),
+            "interrupted_jobs": interrupted,
         },
         "classes": classes,
         "harness": {
@@ -245,9 +251,7 @@ def run_multi_campaign(seeds: int = 16,
     }
     if unhandled:
         payload["unhandled"] = unhandled
-    path = pathlib.Path(output) if output else DEFAULT_MULTI_REPORT
-    write_json_atomic(path, payload)
-    payload["report_path"] = str(path)
+    write_report(payload, output, DEFAULT_MULTI_REPORT)
     return payload
 
 

@@ -39,9 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.fuzz.gen import GenConfig, generate_program
 from repro.fuzz.oracle import PAIR_GOLDEN_PIPELINE, check_all
 from repro.fuzz.shrink import count_instructions, shrink
-from repro.harness.bench import REPO_ROOT, write_json_atomic
 from repro.harness.runner import ChaosMonkey, Job, Runner
-from repro.harness.verdict import Verdict
+from repro.harness.verdict import Verdict, write_report
+from repro.store import REPO_ROOT
 
 DEFAULT_REPORT = REPO_ROOT / "FUZZ_campaign.json"
 
@@ -265,7 +265,7 @@ def run_campaign(seeds: int = 50,
     config = {"seeds": seeds, "modes": list(modes), "quick": quick,
               "mutation": mutation, "chaos_rate": chaos_rate}
     payload = _aggregate(job_ids, rows, config)
-    write_json_atomic(output, payload)
+    write_report(payload, output, DEFAULT_REPORT)
 
     if write_corpus and mutation is None:
         from repro.fuzz import corpus as corpus_mod
@@ -286,7 +286,6 @@ def run_campaign(seeds: int = 50,
             corpus_mod.write_entry(shrunk, report, corpus_dir=corpus_dir,
                                    note="auto-filed by repro fuzz")
 
-    payload["report_path"] = str(output)
     payload["journal_path"] = str(journal_file)
     payload["budget_exhausted"] = exhausted
     return payload

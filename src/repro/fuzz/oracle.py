@@ -17,15 +17,17 @@ Four model pairs, matching the repo's redundancy axes:
   trace models, which must reproduce the live cache statistics exactly.
 * **jit-vs-interpreter** (the translated-fast-path contract): the
   reorganized program runs again with the block translator enabled at a
-  low threshold, and *everything* must match the interpretive run
-  bit-for-bit -- every pipeline counter (cycles included: the fast path
-  is cycle-exact, not just architecturally equivalent), registers, MD,
-  memory, console, and cache statistics.
-* **checkpoint-vs-straight** (the snapshot/restore contract, see
-  :mod:`repro.checkpoint`): the reorganized program runs again to a
-  seeded random cycle, drains to quiescence, snapshots through a JSON
-  round trip, restores into a fresh machine and finishes; the full
-  machine signature must match the uninterrupted run bit-for-bit.
+  low threshold, and the two machine signatures must match bit-for-bit
+  -- every pipeline counter (cycles included: the fast path is
+  cycle-exact, not just architecturally equivalent), registers, MD/PSW,
+  memory, console, devices and cache statistics.
+* **checkpoint-vs-straight** (the snapshot/restore contract): the
+  reorganized program is restored from a snapshot cut at a seeded
+  random cycle, and its signature must match the uninterrupted run's.
+
+The signature and the mid-run restore of the last two pairs are those of
+:mod:`repro.checkpoint.equivalence`, shared with the checkpoint campaign
+and the devices gate.
 
 Every check returns ``None`` for agreement or a structured
 :class:`DivergenceReport`; programs that fail to terminate or assemble
@@ -40,10 +42,14 @@ fuzzer catches and shrinks it (see :mod:`repro.fuzz.mutation`).
 from __future__ import annotations
 
 import dataclasses
+import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.asm.assembler import parse as parse_asm
 from repro.asm.unit import Program
+from repro.checkpoint.equivalence import mismatches, restore_midrun, signature
+from repro.checkpoint.state import (CheckpointError, SnapshotConfigError,
+                                    SnapshotFormatError)
 from repro.core import Machine, MachineConfig
 from repro.core.golden import GoldenError, GoldenSimulator
 from repro.core.pipeline import HazardViolation
@@ -91,9 +97,16 @@ class FuzzProgramError(RuntimeError):
     """
 
 
+def _report(pair: str, kind: str, what: str,
+            detail: str) -> DivergenceReport:
+    """A report with a single mismatch."""
+    return DivergenceReport(pair=pair, kind=kind,
+                            mismatches=[{"what": what, "detail": detail}])
+
+
 # ------------------------------------------------------------- model runs
-def _programs_for(generated: GeneratedProgram
-                  ) -> Tuple[Optional[Program], Program]:
+def programs_for(generated: GeneratedProgram
+                 ) -> Tuple[Optional[Program], Program]:
     """(naive program, reorganized program) for one generated test.
 
     os mode has no naive half (the golden model has no exception
@@ -119,6 +132,23 @@ def _programs_for(generated: GeneratedProgram
     return naive, reorganized
 
 
+def _build(generated: GeneratedProgram):
+    """:func:`programs_for` under the oracle's taxonomy: ``(programs,
+    None)``, or ``(None, report)`` when the reorganizer rejects its own
+    output; a program that does not build raises
+    :class:`FuzzProgramError`."""
+    try:
+        return programs_for(generated), None
+    except ReorgError as exc:
+        return None, _report(PAIR_GOLDEN_PIPELINE, "reorg-error",
+                             "reorganizer", f"reorganizer rejected its own "
+                                            f"output: {exc}")
+    except (ValueError, KeyError) as exc:
+        raise FuzzProgramError(
+            f"generated program did not build (seed {generated.seed}): "
+            f"{exc}") from exc
+
+
 def run_golden(program: Program, generated: GeneratedProgram,
                mutator: Optional[Callable[[GoldenSimulator], None]] = None,
                ) -> GoldenSimulator:
@@ -134,9 +164,10 @@ def run_golden(program: Program, generated: GeneratedProgram,
     return sim
 
 
-def run_pipeline(program: Program, generated: GeneratedProgram,
-                 config: Optional[MachineConfig] = None,
-                 collector: Optional[TraceCollector] = None) -> Machine:
+def _loaded(program: Program, generated: GeneratedProgram,
+            config: Optional[MachineConfig] = None,
+            collector: Optional[TraceCollector] = None) -> Machine:
+    """A machine with ``program`` loaded and the UART feed scheduled."""
     machine = Machine(config or MachineConfig())
     if collector is not None:
         machine.set_trace(collector)
@@ -144,6 +175,13 @@ def run_pipeline(program: Program, generated: GeneratedProgram,
     if generated.uart_feed is not None:
         text, start, interval = generated.uart_feed
         machine.memory.uart.feed(text, start=start, interval=interval)
+    return machine
+
+
+def run_pipeline(program: Program, generated: GeneratedProgram,
+                 config: Optional[MachineConfig] = None,
+                 collector: Optional[TraceCollector] = None) -> Machine:
+    machine = _loaded(program, generated, config, collector)
     machine.run(generated.max_cycles)
     if not machine.halted:
         raise FuzzProgramError(
@@ -155,44 +193,48 @@ def run_pipeline(program: Program, generated: GeneratedProgram,
 # ------------------------------------------------------------ comparisons
 def _compare_state(golden: GoldenSimulator, machine: Machine,
                    generated: GeneratedProgram) -> List[Dict[str, object]]:
-    mismatches: List[Dict[str, object]] = []
     excluded = set(generated.excluded_regs)
-    for register in range(1, 32):
-        if register in excluded:
-            continue
-        want = golden.regs[register]
-        got = machine.regs[register]
-        if want != got:
-            mismatches.append({
-                "what": f"r{register}",
-                "detail": f"r{register}: golden {want:#x}, "
-                          f"pipeline {got:#x}"})
-    if golden.md.value != machine.pipeline.md.value:
-        mismatches.append({
-            "what": "md",
-            "detail": f"md: golden {golden.md.value:#x}, "
-                      f"pipeline {machine.pipeline.md.value:#x}"})
-    if generated.data_words:
-        golden_words = golden.memory.system
-        machine_words = machine.memory.system
-        for offset in range(generated.data_words):
-            address = generated.data_base + offset
-            want = golden_words.read(address)
-            got = machine_words.read(address)
-            if want != got:
-                mismatches.append({
-                    "what": f"mem[{address:#x}]",
-                    "detail": f"mem[{address:#x}]: golden {want:#x}, "
-                              f"pipeline {got:#x}"})
+    words = [(f"r{register}", golden.regs[register], machine.regs[register])
+             for register in range(1, 32) if register not in excluded]
+    words.append(("md", golden.md.value, machine.pipeline.md.value))
+    for address in range(generated.data_base,
+                         generated.data_base + generated.data_words):
+        words.append((f"mem[{address:#x}]",
+                      golden.memory.system.read(address),
+                      machine.memory.system.read(address)))
+    found: List[Dict[str, object]] = [
+        {"what": what, "detail": f"{what}: golden {want:#x}, "
+                                 f"pipeline {got:#x}"}
+        for what, want, got in words if want != got]
     if (golden.console.values != machine.console.values
             or golden.console.text != machine.console.text):
-        mismatches.append({
+        found.append({
             "what": "console",
             "detail": f"console: golden {golden.console.values!r}/"
                       f"{golden.console.text!r}, pipeline "
                       f"{machine.console.values!r}/"
                       f"{machine.console.text!r}"})
-    return mismatches
+    return found
+
+
+def _golden_pair(generated: GeneratedProgram, naive: Program,
+                 reorganized: Program, config: Optional[MachineConfig],
+                 mutator: Optional[Callable[[GoldenSimulator], None]],
+                 collector: Optional[TraceCollector],
+                 ) -> Tuple[Optional[Machine], Optional[DivergenceReport]]:
+    """Golden-vs-pipeline over built programs: ``(pipeline machine,
+    report or None)``; the machine is ``None`` after a hazard trap."""
+    golden = run_golden(naive, generated, mutator=mutator)
+    try:
+        machine = run_pipeline(reorganized, generated, config=config,
+                               collector=collector)
+    except HazardViolation as exc:
+        return None, _report(PAIR_GOLDEN_PIPELINE, "hazard", "pipeline",
+                             f"reorganized code tripped the hazard "
+                             f"checker: {exc}")
+    found = _compare_state(golden, machine, generated)
+    return machine, (DivergenceReport(pair=PAIR_GOLDEN_PIPELINE, kind="state",
+                                      mismatches=found) if found else None)
 
 
 def check_program(generated: GeneratedProgram,
@@ -212,34 +254,11 @@ def check_program(generated: GeneratedProgram,
     """
     if generated.mode == "os":
         return None
-    try:
-        naive, reorganized = _programs_for(generated)
-    except ReorgError as exc:
-        return DivergenceReport(
-            pair=PAIR_GOLDEN_PIPELINE, kind="reorg-error",
-            mismatches=[{"what": "reorganizer",
-                         "detail": f"reorganizer rejected its own output: "
-                                   f"{exc}"}])
-    except (ValueError, KeyError) as exc:
-        raise FuzzProgramError(
-            f"generated program did not build (seed {generated.seed}): "
-            f"{exc}") from exc
-
-    golden = run_golden(naive, generated, mutator=golden_mutator)
-    try:
-        machine = run_pipeline(reorganized, generated, config=config,
-                               collector=collector)
-    except HazardViolation as exc:
-        return DivergenceReport(
-            pair=PAIR_GOLDEN_PIPELINE, kind="hazard",
-            mismatches=[{"what": "pipeline",
-                         "detail": f"reorganized code tripped the hazard "
-                                   f"checker: {exc}"}])
-    mismatches = _compare_state(golden, machine, generated)
-    if mismatches:
-        return DivergenceReport(pair=PAIR_GOLDEN_PIPELINE, kind="state",
-                                mismatches=mismatches)
-    return None
+    programs, report = _build(generated)
+    if report is not None:
+        return report
+    return _golden_pair(generated, *programs, config, golden_mutator,
+                        collector)[1]
 
 
 def _icache_signature(stats) -> Tuple[int, ...]:
@@ -250,14 +269,14 @@ def _icache_signature(stats) -> Tuple[int, ...]:
 def check_trace_replay(machine: Machine, collector: TraceCollector,
                        ) -> Optional[DivergenceReport]:
     """Live-vs-replay oracle over one captured pipeline run."""
-    mismatches: List[Dict[str, object]] = []
+    found: List[Dict[str, object]] = []
     if machine.config.icache.enabled:
         replayed = icache_sim.replay(machine.config.icache,
                                      collector.fetch_array())
         live = _icache_signature(machine.icache.stats)
         traced = _icache_signature(replayed)
         if live != traced:
-            mismatches.append({
+            found.append({
                 "what": "icache",
                 "detail": f"icache replay diverged: live "
                           f"acc/hit/miss/fill/tag {live}, replay {traced}"})
@@ -266,40 +285,41 @@ def check_trace_replay(machine: Machine, collector: TraceCollector,
         replayed_stats, _ = ecache_sim.replay(machine.config.ecache,
                                               kinds, addresses)
         if replayed_stats != machine.ecache.stats:
-            mismatches.append({
+            found.append({
                 "what": "ecache",
                 "detail": f"ecache replay diverged: live "
                           f"{machine.ecache.stats}, replay "
                           f"{replayed_stats}"})
-    if mismatches:
-        return DivergenceReport(pair=PAIR_LIVE_REPLAY, kind="stats",
-                                mismatches=mismatches)
-    return None
+    return (DivergenceReport(pair=PAIR_LIVE_REPLAY, kind="stats",
+                             mismatches=found) if found else None)
 
 
-def _machine_signature(machine: Machine) -> Dict[str, object]:
-    """Everything the jit-vs-interpreter oracle compares, as one dict.
+def _signature_report(pair: str, reference: Machine, machine: Machine,
+                      where: str, left: str,
+                      right: str) -> Optional[DivergenceReport]:
+    """A ``state`` report naming every differing signature key, or
+    ``None`` when the two finished machines are bit-identical."""
+    want, got = signature(reference), signature(machine)
+    keys = mismatches(want, got)
+    if not keys:
+        return None
+    return DivergenceReport(pair=pair, kind="state", mismatches=[
+        {"what": key,
+         "detail": f"{key}{where}: {left} {want[key]!r} != {right} "
+                   f"{got[key]!r}"}
+        for key in keys])
 
-    Cycle-exactness is part of the contract, so the *full* pipeline
-    stat struct is included -- a fast path that reaches the right
-    registers in the wrong number of cycles is a finding.
-    """
-    pipe = machine.pipeline
-    return {
-        "stats": dataclasses.asdict(pipe.stats),
-        "regs": list(pipe.regs._regs),
-        "md": pipe.md.value,
-        "psw": (pipe.psw.value, pipe.psw_old.value),
-        "console": (list(machine.console.values), machine.console.text),
-        "icache": dataclasses.asdict(machine.icache.stats),
-        "ecache": dataclasses.asdict(machine.ecache.stats),
-        "memory": (dict(pipe.memory.space(True)._words),
-                   dict(pipe.memory.space(False)._words)),
-        # devices are the observable output channel of os-mode programs
-        # (and deterministically idle for isa/lang ones)
-        "uart_tx": pipe.memory.uart.tx_text,
-        "devices": dict(pipe.memory.device_metrics()),
-    }
+
+def _jit_config(config: Optional[MachineConfig]) -> Optional[MachineConfig]:
+    """``config`` with the translator on at threshold 2 (so even short
+    fuzz programs get hot enough to translate), or ``None`` when the
+    translator does not support it."""
+    from repro.core.translate import Translator
+
+    base = config or MachineConfig()
+    if not Translator.supports(base):
+        return None
+    return dataclasses.replace(base, jit=True, jit_threshold=2)
 
 
 def check_jit_equivalence(program: Program, generated: GeneratedProgram,
@@ -310,36 +330,19 @@ def check_jit_equivalence(program: Program, generated: GeneratedProgram,
 
     ``reference`` is an already-completed interpretive run of
     ``program``.  The same program runs again with the translator
-    enabled at threshold 2 (so even short fuzz programs get hot enough
-    to translate), and the full machine signatures must match.
+    enabled at threshold 2, and the machine signatures must match.
     """
-    from repro.core.translate import Translator
-
-    base = config or MachineConfig()
-    if not Translator.supports(base):
+    jit_config = _jit_config(config)
+    if jit_config is None:
         return None
-    jit_config = dataclasses.replace(base, jit=True, jit_threshold=2)
     try:
         jit_machine = run_pipeline(program, generated, config=jit_config)
     except HazardViolation as exc:
-        return DivergenceReport(
-            pair=PAIR_JIT_INTERP, kind="hazard",
-            mismatches=[{"what": "pipeline",
-                         "detail": f"jit run tripped the hazard checker "
-                                   f"where the interpreter did not: {exc}"}])
-    want = _machine_signature(reference)
-    got = _machine_signature(jit_machine)
-    if want == got:
-        return None
-    mismatches: List[Dict[str, object]] = []
-    for key in want:
-        if want[key] != got[key]:
-            mismatches.append({
-                "what": key,
-                "detail": f"{key}: interpreter {want[key]!r} != jit "
-                          f"{got[key]!r}"})
-    return DivergenceReport(pair=PAIR_JIT_INTERP, kind="state",
-                            mismatches=mismatches)
+        return _report(PAIR_JIT_INTERP, "hazard", "pipeline",
+                       f"jit run tripped the hazard checker where the "
+                       f"interpreter did not: {exc}")
+    return _signature_report(PAIR_JIT_INTERP, reference, jit_machine, "",
+                             "interpreter", "jit")
 
 
 def check_checkpoint_equivalence(program: Program,
@@ -350,81 +353,39 @@ def check_checkpoint_equivalence(program: Program,
                                  ) -> Optional[DivergenceReport]:
     """Checkpoint-vs-straight oracle; ``None`` means bit-identical.
 
-    The program runs again to a seeded random cycle, drains to a
-    quiescent boundary, snapshots, round-trips the snapshot through
-    JSON (exactly what the on-disk store persists), restores it into a
-    *fresh* machine, and finishes.  The full machine signature -- every
-    pipeline counter, registers, MD, PSW, memory, console, cache stats
-    -- must match the uninterrupted ``reference`` run bit-for-bit.
+    The program runs again through
+    :func:`~repro.checkpoint.equivalence.restore_midrun`, cut at a
+    seeded random cycle, and the restored run's machine signature must
+    match the uninterrupted ``reference`` run bit-for-bit.
 
     ``jit=True`` exercises the same contract with the block translator
     enabled (translated blocks must be invalidated on restore, never
     resumed stale).
     """
-    import json as _json
-    import random as _random
-
-    from repro.checkpoint.state import CheckpointError
-
-    base = config or MachineConfig()
-    if jit:
-        from repro.core.translate import Translator
-
-        if not Translator.supports(base):
-            return None
-        base = dataclasses.replace(base, jit=True, jit_threshold=2)
-    total = reference.stats.cycles
-    cut = _random.Random(generated.seed ^ 0xC0FFEE).randint(
-        1, max(1, total - 1))
-    first = Machine(base)
-    first.load_program(program)
-    if generated.uart_feed is not None:
-        # the snapshot carries pending RX schedules (format v2), so the
-        # feed is applied only to the pre-snapshot machine, never to the
-        # restored one
-        text, start, interval = generated.uart_feed
-        first.memory.uart.feed(text, start=start, interval=interval)
-    first.pipeline.run(cut)
-    try:
-        state = first.snapshot()
-    except CheckpointError as exc:
-        return DivergenceReport(
-            pair=PAIR_CHECKPOINT, kind="quiescence",
-            mismatches=[{"what": "drain",
-                         "detail": f"drain to quiescence failed at cycle "
-                                   f"{cut} (seed {generated.seed}): {exc}"}])
-    state = _json.loads(_json.dumps(state))
-    restored = Machine(base)
-    try:
-        restored.restore(state)
-    except CheckpointError as exc:
-        return DivergenceReport(
-            pair=PAIR_CHECKPOINT, kind="restore-error",
-            mismatches=[{"what": "restore",
-                         "detail": f"restore rejected its own snapshot "
-                                   f"(seed {generated.seed}): {exc}"}])
-    restored.run(generated.max_cycles)
-    if not restored.halted:
-        return DivergenceReport(
-            pair=PAIR_CHECKPOINT, kind="no-halt",
-            mismatches=[{"what": "pipeline",
-                         "detail": f"restored run did not halt within "
-                                   f"{generated.max_cycles} cycles where "
-                                   f"the straight run did "
-                                   f"(seed {generated.seed})"}])
-    want = _machine_signature(reference)
-    got = _machine_signature(restored)
-    if want == got:
+    base = _jit_config(config) if jit else config or MachineConfig()
+    if base is None:
         return None
-    mismatches: List[Dict[str, object]] = []
-    for key in want:
-        if want[key] != got[key]:
-            mismatches.append({
-                "what": key,
-                "detail": f"{key} (snapshot at cycle {cut}): straight "
-                          f"{want[key]!r} != restored {got[key]!r}"})
-    return DivergenceReport(pair=PAIR_CHECKPOINT, kind="state",
-                            mismatches=mismatches)
+    cut = random.Random(generated.seed ^ 0xC0FFEE).randint(
+        1, max(1, reference.stats.cycles - 1))
+    try:
+        restored, _state = restore_midrun(_loaded(program, generated, base),
+                                          cut, generated.max_cycles)
+    except (SnapshotFormatError, SnapshotConfigError) as exc:
+        return _report(PAIR_CHECKPOINT, "restore-error", "restore",
+                       f"restore rejected its own snapshot "
+                       f"(seed {generated.seed}): {exc}")
+    except CheckpointError as exc:
+        return _report(PAIR_CHECKPOINT, "quiescence", "drain",
+                       f"drain to quiescence failed at cycle {cut} "
+                       f"(seed {generated.seed}): {exc}")
+    if not restored.halted:
+        return _report(PAIR_CHECKPOINT, "no-halt", "pipeline",
+                       f"restored run did not halt within "
+                       f"{generated.max_cycles} cycles where the straight "
+                       f"run did (seed {generated.seed})")
+    return _signature_report(PAIR_CHECKPOINT, reference, restored,
+                             f" (snapshot at cycle {cut})", "straight",
+                             "restored")
 
 
 def check_all(generated: GeneratedProgram,
@@ -446,66 +407,29 @@ def check_all(generated: GeneratedProgram,
     checkpoint-vs-straight, both of which are sensitive to
     interrupt-arrival timing and UART RX schedules.
     """
-    try:
-        naive, reorganized = _programs_for(generated)
-    except ReorgError as exc:
-        return [DivergenceReport(
-            pair=PAIR_GOLDEN_PIPELINE, kind="reorg-error",
-            mismatches=[{"what": "reorganizer",
-                         "detail": f"reorganizer rejected its own output: "
-                                   f"{exc}"}])]
-    except (ValueError, KeyError) as exc:
-        raise FuzzProgramError(
-            f"generated program did not build (seed {generated.seed}): "
-            f"{exc}") from exc
-
+    programs, report = _build(generated)
+    if report is not None:
+        return [report]
+    naive, reorganized = programs
+    reports: List[Optional[DivergenceReport]] = []
     if generated.mode == "os":
         try:
             machine = run_pipeline(reorganized, generated, config=config)
         except HazardViolation as exc:
-            return [DivergenceReport(
-                pair=PAIR_OS_REFERENCE, kind="hazard",
-                mismatches=[{"what": "pipeline",
-                             "detail": f"os-mode reference run tripped the "
-                                       f"hazard checker: {exc}"}])]
-        reports = []
-        jit_report = check_jit_equivalence(reorganized, generated, machine,
-                                           config=config)
-        if jit_report is not None:
-            reports.append(jit_report)
-        checkpoint_report = check_checkpoint_equivalence(
-            reorganized, generated, machine, config=config)
-        if checkpoint_report is not None:
-            reports.append(checkpoint_report)
-        return reports
-
-    golden = run_golden(naive, generated, mutator=golden_mutator)
-    collector = TraceCollector(fetches=True, data=False, branches=False,
-                               ecache=True)
-    try:
-        machine = run_pipeline(reorganized, generated, config=config,
-                               collector=collector)
-    except HazardViolation as exc:
-        return [DivergenceReport(
-            pair=PAIR_GOLDEN_PIPELINE, kind="hazard",
-            mismatches=[{"what": "pipeline",
-                         "detail": f"reorganized code tripped the hazard "
-                                   f"checker: {exc}"}])]
-
-    reports: List[DivergenceReport] = []
-    mismatches = _compare_state(golden, machine, generated)
-    if mismatches:
-        reports.append(DivergenceReport(pair=PAIR_GOLDEN_PIPELINE,
-                                        kind="state", mismatches=mismatches))
-    replay_report = check_trace_replay(machine, collector)
-    if replay_report is not None:
-        reports.append(replay_report)
-    jit_report = check_jit_equivalence(reorganized, generated, machine,
-                                       config=config)
-    if jit_report is not None:
-        reports.append(jit_report)
-    checkpoint_report = check_checkpoint_equivalence(reorganized, generated,
-                                                     machine, config=config)
-    if checkpoint_report is not None:
-        reports.append(checkpoint_report)
-    return reports
+            return [_report(PAIR_OS_REFERENCE, "hazard", "pipeline",
+                            f"os-mode reference run tripped the hazard "
+                            f"checker: {exc}")]
+    else:
+        collector = TraceCollector(fetches=True, data=False, branches=False,
+                                   ecache=True)
+        machine, report = _golden_pair(generated, naive, reorganized, config,
+                                       golden_mutator, collector)
+        if machine is None:
+            return [report]
+        reports += [report, check_trace_replay(machine, collector)]
+    reports += [
+        check_jit_equivalence(reorganized, generated, machine, config=config),
+        check_checkpoint_equivalence(reorganized, generated, machine,
+                                     config=config),
+    ]
+    return [report for report in reports if report is not None]

@@ -30,24 +30,14 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.runner import Job, JobResult, Runner
-from repro.store import write_durable
+from repro.store import REPO_ROOT, write_json_atomic
 
-#: src/repro/harness/bench.py -> repository root
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
 DEFAULT_METRICS_OUTPUT = REPO_ROOT / "METRICS_summary.json"
 
 #: workloads used for the cycles/sec probe: one loop-heavy integer
 #: program and one branchy one, both in the Pascal suite
 THROUGHPUT_WORKLOADS = ("sieve", "bubble")
-
-
-def write_json_atomic(path: pathlib.Path, payload: Any) -> None:
-    """Write ``payload`` as indented, key-sorted JSON through
-    :func:`repro.store.write_durable`: a reader never observes a torn
-    report, only the old one or the new one."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    write_durable(path, text.encode("utf-8"))
 
 
 def measure_core_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
@@ -91,7 +81,9 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
     Each workload runs ``repeats`` times per configuration (programs
     compiled once, outside the timed region).  Alongside the wall-clock
     ratio, the section records what the timing means: ``equivalent``
-    asserts the jit run's cycle and retired-instruction counts match the
+    asserts the jit run's machine
+    :func:`~repro.checkpoint.equivalence.signature` (every pipeline
+    counter, registers, memory, console, devices and caches) matches the
     interpretive run's exactly (the fast path is cycle-exact or it is
     broken), ``compile_s`` is the wall time the block compiler spent,
     and ``entry_hit_rate`` is taken entries over dispatch hits -- a low
@@ -99,6 +91,7 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
     """
     import dataclasses as _dc
 
+    from repro.checkpoint.equivalence import signature
     from repro.core import Machine, MachineConfig
     from repro.workloads import cached_program
 
@@ -114,21 +107,22 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
             config = _dc.replace(MachineConfig(), jit=jit)
             started = time.perf_counter()
             cycles = 0
-            machine = None
+            machines = []
             for _ in range(repeats):
                 machine = Machine(config)
                 machine.load_program(program)
                 cycles += machine.run().cycles
+                machines.append(machine)
             wall = time.perf_counter() - started
+            signatures = [signature(run) for run in machines]
             key = "jit" if jit else "nojit"
             row[f"{key}_wall_s"] = round(wall, 4)
             row[f"{key}_cycles_per_sec"] = round(cycles / wall) if wall else 0
             if not jit:
-                baseline = (cycles, machine.pipeline.stats.retired)
+                baseline = signatures
                 total_nojit += wall
             else:
-                row["equivalent"] = (
-                    (cycles, machine.pipeline.stats.retired) == baseline)
+                row["equivalent"] = signatures == baseline
                 all_equivalent &= row["equivalent"]
                 total_jit += wall
                 translator = machine.pipeline._translator

@@ -8,31 +8,36 @@ Standing CI gate for the software stack of ROADMAP item 5 (see
   log equals the demo's pinned golden log, with at least one delivered
   interrupt (a "demo" that never preempts tests nothing);
 * **stay cycle-exact under the JIT** -- a second run with the block
-  translator enabled must produce the identical boot log, cycle count,
-  and retired-instruction count, and must actually compile blocks;
-* **survive checkpoint/restore** -- a third run snapshots mid-boot
-  (quiescent drain, JSON round-trip, restore into a fresh machine) and
-  finishes; log and counters must match the straight run bit-for-bit.
+  translator enabled must end with the same full machine signature
+  (registers, MD/PSW, memory, console, devices, caches and every
+  pipeline counter), and must actually compile blocks;
+* **survive checkpoint/restore** -- a third run is cut mid-boot by
+  :func:`~repro.checkpoint.equivalence.restore_midrun` (quiescent
+  drain, JSON round trip, restore into a fresh machine) and finishes;
+  its full signature must equal the straight run's.
 
-:func:`run_devices_gate` writes the ``DEVICES_results.json`` report;
-:func:`verdict` judges it for both the ``repro devices`` exit code and
-the ``check_results.py --devices`` gate: 0 = every demo held, 1 =
-harness failure, 2 = a comparison failed.
+Both comparisons are the :func:`~repro.checkpoint.equivalence.signature`
+the fuzz oracle and the checkpoint campaign use.
+:func:`run_devices_gate` writes the ``DEVICES_results.json`` report at
+the repo root; :func:`verdict` judges it for both the ``repro devices``
+exit code and the ``check_results.py --devices`` gate: 0 = every demo
+held, 1 = harness failure, 2 = a comparison failed.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import pathlib
 import random
 from typing import Any, Dict, List, Optional
 
-from repro.core import Machine, perfect_memory_config
-from repro.harness.bench import write_json_atomic
-from repro.harness.verdict import Verdict
-from repro.workloads.kernel import (KERNEL_DEMOS, KernelRun,
-                                    build_kernel_program, run_kernel_demo)
+from repro.checkpoint.equivalence import restore_midrun, signature
+from repro.core import perfect_memory_config
+from repro.harness.verdict import Verdict, write_report
+from repro.store import REPO_ROOT
+from repro.workloads.kernel import (KERNEL_DEMOS, KernelRun, kernel_machine,
+                                    run_kernel_demo)
+
+DEFAULT_REPORT = REPO_ROOT / "DEVICES_results.json"
 
 #: demos the --quick gate boots (the timer-sliced SPL demo runs ~1.4M
 #: cycles interpreted, so CI smoke keeps the two short ones)
@@ -42,54 +47,26 @@ QUICK_DEMOS = ("kernel-echo", "kernel-pipeline")
 MAX_CYCLES = 2_000_000
 
 
-def _signature(run: KernelRun) -> Dict[str, Any]:
-    """The comparable outcome of one boot: log + audited counters."""
-    stats = run.stats
-    return {
-        "uart_log": run.uart_log,
-        "cycles": stats.cycles,
-        "instructions": stats.instructions,
-        "interrupts": stats.interrupts,
-        "device_metrics": dict(run.machine.memory.device_metrics()),
-    }
-
-
 def _boot(name: str, jit: bool = False) -> KernelRun:
-    config = perfect_memory_config()
-    if jit:
-        config = dataclasses.replace(config, jit=True)
-    return run_kernel_demo(name, config=config, max_cycles=MAX_CYCLES)
+    return run_kernel_demo(name, perfect_memory_config(jit=jit), MAX_CYCLES)
 
 
 def _checkpoint_boot(name: str, straight: KernelRun) -> Dict[str, Any]:
-    """Snapshot one demo mid-boot, restore, finish, and compare.
+    """Cut one demo mid-boot, restore, finish, and compare.
 
     The cut cycle is seeded from the demo name so the gate is
     deterministic but each demo snapshots at a different phase of its
     boot (banner, feed window, teardown).
     """
-    demo = KERNEL_DEMOS[name]
-    config = perfect_memory_config()
     total = straight.stats.cycles
     cut = random.Random(sum(name.encode())).randint(
         total // 4, max(total // 4 + 1, total - total // 4))
-    machine = Machine(config)
-    machine.load_program(build_kernel_program(demo, config))
-    for sector, words in demo.sectors:
-        machine.memory.disk.load(sector, list(words))
-    for text, start, interval in demo.feeds:
-        machine.memory.uart.feed(text, start=start, interval=interval)
-    machine.pipeline.run(cut)
-    state = json.loads(json.dumps(machine.snapshot()))
-    restored = Machine(config)
-    restored.restore(state)
-    stats = restored.run(MAX_CYCLES)
-    run = KernelRun(demo=demo, machine=restored,
-                    uart_log=restored.memory.uart.tx_text, stats=stats)
+    restored, state = restore_midrun(
+        kernel_machine(name, perfect_memory_config()), cut, MAX_CYCLES)
     return {
         "snapshot_cycle": cut,
         "snapshot_format": state["format"],
-        "ok": _signature(run) == _signature(straight),
+        "ok": signature(restored) == signature(straight.machine),
         "halted": restored.halted,
     }
 
@@ -97,16 +74,21 @@ def _checkpoint_boot(name: str, straight: KernelRun) -> Dict[str, Any]:
 def _gate_demo(name: str) -> Dict[str, Any]:
     """Boot one demo three ways; every comparison lands in the row."""
     straight = _boot(name)
+    stats = straight.stats
     row: Dict[str, Any] = {
         "description": KERNEL_DEMOS[name].description,
-        **_signature(straight),
+        "uart_log": straight.uart_log,
+        "cycles": stats.cycles,
+        "instructions": stats.instructions,
+        "interrupts": stats.interrupts,
+        "device_metrics": dict(straight.machine.memory.device_metrics()),
         "expected_ok": straight.matches_expected,
         "halted": straight.machine.halted,
     }
     jit_run = _boot(name, jit=True)
     translator = jit_run.machine.pipeline._translator
     row["jit"] = {
-        "ok": _signature(jit_run) == _signature(straight),
+        "ok": signature(jit_run.machine) == signature(straight.machine),
         "halted": jit_run.machine.halted,
         "blocks_compiled": translator.stats.compiled if translator else 0,
         "entries_taken": translator.stats.entries if translator else 0,
@@ -143,10 +125,7 @@ def run_devices_gate(quick: bool = False,
             "harness_failures": harness_failures,
         },
     }
-    path = pathlib.Path(output) if output else pathlib.Path(
-        "DEVICES_results.json")
-    write_json_atomic(path, payload)
-    payload["report_path"] = str(path)
+    write_report(payload, output, DEFAULT_REPORT)
     return payload
 
 

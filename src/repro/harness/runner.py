@@ -12,11 +12,9 @@ Design:
   watchdog for jobs that did not set their own;
 * **retry-on-crash with exponential backoff**: a worker that dies
   without reporting (``os._exit``, segfault, OOM kill) is rescheduled up
-  to ``max_retries`` times, the respawn before attempt ``n`` delayed by
-  ``backoff_base * 2**(n-2)`` seconds, under a runner-wide
-  ``retry_budget`` (total respawns per run).  An in-worker Python
-  exception is deterministic, so it is recorded as ``"error"`` without a
-  retry;
+  to :data:`MAX_RETRIES` times, the respawn before attempt ``n`` delayed
+  by ``BACKOFF_BASE * 2**(n-2)`` seconds.  An in-worker Python exception
+  is deterministic, so it is recorded as ``"error"`` without a retry;
 * **deterministic merging**: results come back in submission order keyed
   by job id, regardless of completion order, so serial and parallel runs
   of the same jobs produce identical merged output;
@@ -65,6 +63,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: the exit code chaos kills use; distinguishable from real crashes in logs
 CHAOS_EXIT_CODE = 86
+#: seconds the scheduler sleeps when no worker made progress
+POLL_INTERVAL = 0.02
+#: crash retries per job (a retry-once-on-crash runner)
+MAX_RETRIES = 1
+#: first respawn delay in seconds, doubled per further attempt
+BACKOFF_BASE = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,43 +195,14 @@ class Runner:
 
     ``max_workers`` defaults to the machine's CPU count.  ``run`` returns
     one :class:`JobResult` per job **in submission order**.
-
-    Resilience knobs:
-
-    * ``max_retries`` -- crash retries per job (default 1: the original
-      retry-once-on-crash behaviour);
-    * ``backoff_base`` -- first respawn delay in seconds, doubled per
-      further attempt (exponential backoff);
-    * ``backoff_jitter`` -- deterministic seeded spread on top of the
-      exponential delay: attempt ``n`` of job ``j`` waits
-      ``base * 2**(n-2) * (1 + jitter * draw(j, n))`` where ``draw`` is
-      a stable sha256 hash of ``(jitter_seed, job id, attempt)`` mapped
-      into [0, 1).  Jobs that crash together thus retry *spread out*
-      instead of thundering-herding the pool, and the schedule is
-      still exactly reproducible (and pinnable in tests) because
-      nothing consults a random source at run time;
-    * ``retry_budget`` -- total respawns allowed across the whole run
-      (None = unlimited); once exhausted, crashes are final;
-    * ``default_timeout`` -- watchdog for jobs with ``timeout=None``;
-    * ``chaos`` -- a :class:`ChaosMonkey`, for testing the above.
+    ``default_timeout`` is the watchdog for jobs with ``timeout=None``;
+    ``chaos`` is a :class:`ChaosMonkey`, for testing the crash retries.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 poll_interval: float = 0.02,
-                 max_retries: int = 1,
-                 backoff_base: float = 0.05,
-                 backoff_jitter: float = 0.0,
-                 jitter_seed: int = 0,
-                 retry_budget: Optional[int] = None,
                  default_timeout: Optional[float] = None,
                  chaos: Optional[ChaosMonkey] = None):
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        self.poll_interval = poll_interval
-        self.max_retries = max(0, max_retries)
-        self.backoff_base = max(0.0, backoff_base)
-        self.backoff_jitter = max(0.0, backoff_jitter)
-        self.jitter_seed = jitter_seed
-        self.retry_budget = retry_budget
         self.default_timeout = default_timeout
         self.chaos = chaos or ChaosMonkey()
         #: set when SIGTERM/SIGINT arrived during the last parallel run
@@ -287,27 +262,12 @@ class Runner:
         child_conn.close()   # child's end lives in the child now
         return _Active(job, attempt, process, parent_conn)
 
-    def _backoff(self, attempt: int, job_id: str = "") -> float:
-        """Respawn delay before ``attempt`` (exponential: base * 2^(n-2)).
-
-        With ``backoff_jitter`` > 0 the delay is stretched by a
-        deterministic per-(job, attempt) factor in
-        ``[1, 1 + backoff_jitter)`` so simultaneous crash retries
-        (a chaos-killed batch) de-correlate
-        instead of respawning in lockstep.  The draw hashes
-        ``jitter_seed``, the job id, and the attempt with sha256 --
-        never Python's salted ``hash()`` -- so the schedule is
-        reproducible across processes and pinnable in tests.
-        """
-        if attempt <= 1 or self.backoff_base <= 0.0:
+    @staticmethod
+    def _backoff(attempt: int) -> float:
+        """Respawn delay before ``attempt``: ``BACKOFF_BASE * 2**(n-2)``."""
+        if attempt <= 1:
             return 0.0
-        delay = self.backoff_base * (2.0 ** (attempt - 2))
-        if self.backoff_jitter > 0.0:
-            digest = hashlib.sha256(
-                f"{self.jitter_seed}:{job_id}:{attempt}".encode()).digest()
-            draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-            delay *= 1.0 + self.backoff_jitter * draw
-        return delay
+        return BACKOFF_BASE * (2.0 ** (attempt - 2))
 
     def _install_signal_handlers(self) -> List[tuple]:
         """Arm graceful shutdown for the duration of a parallel run.
@@ -337,7 +297,6 @@ class Runner:
         #: crash retries waiting out their backoff: (eligible_at, job,
         #: attempt), respawned in eligibility order
         waiting: List[tuple] = []
-        self._retries_left = self.retry_budget
         active: List[_Active] = []
         results: Dict[str, JobResult] = {}
         installed = self._install_signal_handlers()
@@ -378,16 +337,13 @@ class Runner:
                     made_progress = True
                     active.remove(slot)
                     if outcome == "retry":
-                        if self._retries_left is not None:
-                            self._retries_left -= 1
                         attempt = slot.attempt + 1
-                        eligible = (time.monotonic()
-                                    + self._backoff(attempt, slot.job.id))
+                        eligible = time.monotonic() + self._backoff(attempt)
                         waiting.append((eligible, slot.job, attempt))
                     else:
                         results[slot.job.id] = outcome
                 if not made_progress and (active or waiting):
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
         finally:
             for signum, previous in installed:
                 signal.signal(signum, previous)
@@ -434,9 +390,7 @@ class Runner:
         """The worker died without delivering a result."""
         slot.process.join()
         slot.conn.close()
-        remaining = getattr(self, "_retries_left", self.retry_budget)
-        budget_open = remaining is None or remaining > 0
-        if slot.attempt <= self.max_retries and budget_open:
+        if slot.attempt <= MAX_RETRIES:
             return "retry"
         job = slot.job
         return JobResult(

@@ -2,7 +2,9 @@
 
 Each campaign module has one ``verdict(payload) -> Verdict``: the
 campaign command exits with its :func:`exit_code`, and ``check_results``
-fails on any of its messages, so the two cannot disagree.
+fails on any of its messages, so the two cannot disagree.  Every
+campaign driver persists its report with :func:`write_report`, and the
+gate reads it back with :func:`load_report`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import dataclasses
 import json
 import pathlib
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.store import write_json_atomic
 
 
 @dataclasses.dataclass
@@ -34,6 +38,16 @@ def exit_code(verdict: Verdict) -> int:
     if verdict.findings:
         return 2
     return 1 if verdict.harness else 0
+
+
+def write_report(payload: Dict[str, Any], output,
+                 default: pathlib.Path) -> None:
+    """Durably write a campaign report to ``output`` (``default``, a
+    path at the repository root, when ``output`` is empty) and record
+    where it went as the payload's ``report_path``."""
+    path = pathlib.Path(output) if output else default
+    write_json_atomic(path, payload)
+    payload["report_path"] = str(path)
 
 
 def load_report(path, label: str, command: str

@@ -11,6 +11,7 @@ from here:
   mix; a writer killed at any point leaves at most a ``*.tmp`` that no
   reader ever opens.  A filesystem that refuses the directory ``fsync``
   fails the write: durability is never downgraded silently.
+  :func:`write_json_atomic` writes a JSON report through it.
 * :func:`put_verified` / :func:`get_verified` -- payload first, its
   ``.sha256`` sidecar second, so a crash between the two leaves a
   payload without a sidecar.  Every missing, short or mismatched entry
@@ -28,14 +29,19 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import logging
 import os
 import secrets
 import time
 from pathlib import Path
-from typing import Iterator, Type
+from typing import Any, Iterator, Type
 
 logger = logging.getLogger(__name__)
+
+#: src/repro/store.py -> the repository root, where committed reports
+#: and the ``.trace_cache`` live
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: a lock older than this is presumed orphaned even when its pid cannot
 #: be probed; every protected write finishes in seconds
@@ -86,6 +92,14 @@ def write_durable(path: Path, data: bytes) -> None:
             os.unlink(tmp)
         raise
     _fsync_directory(path.parent)
+
+
+def write_json_atomic(path: Path, payload: Any) -> None:
+    """Write ``payload`` as indented, key-sorted JSON through
+    :func:`write_durable`: a reader never observes a torn report, only
+    the old one or the new one."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_durable(path, text.encode("utf-8"))
 
 
 def put_verified(path: Path, data: bytes) -> None:
@@ -207,6 +221,7 @@ __all__ = [
     "IntegrityError",
     "LOCK_STALE_SECONDS",
     "LOCK_TIMEOUT_SECONDS",
+    "REPO_ROOT",
     "TMP_STALE_SECONDS",
     "get_verified",
     "pid_lock",
@@ -214,4 +229,5 @@ __all__ = [
     "sidecar_path",
     "sweep_stale_tmp",
     "write_durable",
+    "write_json_atomic",
 ]

@@ -27,8 +27,8 @@ import re
 import sys
 from typing import Any, List, Optional, Tuple
 
-#: src/repro/tools/gen_api_docs.py -> repository root
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
+from repro.store import REPO_ROOT
+
 DEFAULT_OUTPUT = REPO_ROOT / "docs" / "API.md"
 
 HEADER = """\

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.store import (
+    REPO_ROOT,
     IntegrityError,
     get_verified,
     pid_lock,
@@ -41,7 +42,6 @@ logger = logging.getLogger(__name__)
 #: of every cache key, so old .npz files are simply never matched again
 FORMAT = 1
 
-REPO_ROOT = Path(__file__).resolve().parents[3]
 DEFAULT_ROOT = REPO_ROOT / ".trace_cache"
 
 _META_KEY = "__meta__"

@@ -28,12 +28,12 @@ import pytest
 
 from repro.checkpoint import (FORMAT, SnapshotConfigError, SnapshotFormatError,
                               SnapshotIntegrityError, SnapshotStore,
-                              drain_machine, machine_state, restore_machine,
-                              run_with_checkpoints)
+                              drain_machine, machine_state, mismatches,
+                              restore_machine, restore_midrun,
+                              run_with_checkpoints, signature)
 from repro.checkpoint.store import state_cycles
 from repro.core.config import MachineConfig
 from repro.core.processor import Machine
-from repro.fuzz.oracle import _machine_signature
 from repro.workloads import cached_program
 
 
@@ -89,7 +89,7 @@ class TestRoundTrip:
         restore_machine(second, state)
         _run_to_completion(second)
 
-        assert _machine_signature(second) == _machine_signature(straight)
+        assert signature(second) == signature(straight)
         assert list(second.console.values) == list(straight.console.values)
 
     def test_snapshot_is_pure_json(self):
@@ -122,7 +122,7 @@ class TestRoundTrip:
         assert second.all_halted
 
         for left, right in zip(straight.machines, second.machines):
-            assert _machine_signature(right) == _machine_signature(left)
+            assert signature(right) == signature(left)
         assert dataclasses.asdict(second.bus) == dataclasses.asdict(
             straight.bus)
         assert second.cycles == straight.cycles
@@ -279,7 +279,7 @@ class TestWatchdog:
         assert stats.restores == 1
         assert stats.resumes == 1
         assert resumed.halted
-        assert _machine_signature(resumed) == _machine_signature(straight)
+        assert signature(resumed) == signature(straight)
 
     def test_resume_false_starts_cold(self, tmp_path):
         store = SnapshotStore(root=tmp_path / "ckpt")
@@ -319,16 +319,48 @@ class TestKillResume:
         assert payload["console"] == reference["console"]
 
 
+# --------------------------------------------------------- shared restore
+class TestSharedRestore:
+    def test_multi_restore_reports_a_planted_divergence(self, monkeypatch):
+        from repro.multi.system import MultiMachine
+        from repro.workloads.parallel import parallel_program
+
+        program = parallel_program("psieve", 2)
+
+        def loaded():
+            system = MultiMachine(2)
+            system.load_program(program)
+            return system
+
+        straight = loaded()
+        straight.run(10_000_000)
+        assert straight.all_halted
+        cut = straight.cycles // 2
+        restored, state = restore_midrun(loaded(), cut, 10_000_000)
+        assert state["kind"] == "multi" and state_cycles(state) >= cut
+        assert mismatches(signature(straight), signature(restored)) == []
+
+        restore = MultiMachine.restore
+
+        def restore_and_plant(self, state):
+            restore(self, state)
+            self.bus.invalidations += 1
+
+        monkeypatch.setattr(MultiMachine, "restore", restore_and_plant)
+        planted, _ = restore_midrun(loaded(), cut, 10_000_000)
+        assert planted.all_halted
+        assert mismatches(signature(straight), signature(planted)) == ["bus"]
+
+
 # ------------------------------------------------------------ fuzz oracle
 class TestOracleIntegration:
     def test_checkpoint_pair_finds_no_divergence(self):
         from repro.fuzz.gen import GenConfig, generate_program
-        from repro.fuzz.oracle import (_programs_for,
-                                       check_checkpoint_equivalence,
-                                       run_pipeline)
+        from repro.fuzz.oracle import (check_checkpoint_equivalence,
+                                       programs_for, run_pipeline)
 
         generated = generate_program(7, GenConfig(mode="isa", quick=True))
-        _naive, reorganized = _programs_for(generated)
+        _naive, reorganized = programs_for(generated)
         reference = run_pipeline(reorganized, generated)
         report = check_checkpoint_equivalence(reorganized, generated,
                                               reference)

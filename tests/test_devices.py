@@ -287,6 +287,42 @@ class TestDevicesGate:
         assert report.read_bytes() == output.read_bytes()
         assert [p.name for p in tmp_path.iterdir()] == [report.name]
 
+    def test_default_report_lands_at_repo_root(self, tmp_path, monkeypatch):
+        from repro.harness import devices
+
+        assert devices.DEFAULT_REPORT == REPO_ROOT / "DEVICES_results.json"
+        default = tmp_path / "root" / "DEVICES_results.json"
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setattr(devices, "DEFAULT_REPORT", default)
+        monkeypatch.setattr(devices, "_gate_demo", lambda name: {"ok": True})
+        monkeypatch.chdir(elsewhere)
+        payload = devices.run_devices_gate(quick=True)
+        assert payload["report_path"] == str(default)
+        assert json.loads(default.read_text())["summary"]["ok"] == 2
+        assert list(elsewhere.iterdir()) == []
+
+    def test_checkpoint_leg_compares_the_full_machine_state(
+            self, monkeypatch):
+        # no demo code multiplies or divides, so a restore that flips a
+        # bit of the MD register leaves the boot log, the cycle,
+        # instruction and interrupt counts and the device counters
+        # untouched; only the full signature can catch it
+        from repro.harness import devices
+
+        restore = Machine.restore
+
+        def restore_and_flip(self, state):
+            restore(self, state)
+            self.pipeline.md.value ^= 1
+
+        monkeypatch.setattr(Machine, "restore", restore_and_flip)
+        row = devices._gate_demo("kernel-echo")
+        assert row["expected_ok"] and row["jit"]["ok"]
+        assert row["checkpoint"]["halted"]
+        assert not row["checkpoint"]["ok"]
+        assert not row["ok"]
+
     def test_report_validator_catches_missing_file(self, tmp_path):
         from repro.tools.check_results import GATES
 

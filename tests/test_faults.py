@@ -252,6 +252,32 @@ class TestCampaign:
         for row in on_disk["harness"].values():
             assert row["status"] == "ok"
 
+    def test_interrupted_campaign_reports_incomplete(self, monkeypatch,
+                                                     capsys):
+        from repro.faults import campaign
+        from repro.harness.verdict import exit_code
+        from repro.tools.cli import main
+
+        single = {"complete": False, "report_path": "FAULTS_campaign.json",
+                  "summary": {"violated": 0, "unhandled_jobs": 0,
+                              "interrupted_jobs": 3}}
+        judged = campaign.verdict(single)
+        assert judged.incomplete and not judged.findings + judged.harness
+        assert "3 campaign job(s) were interrupted" in judged.incomplete[0]
+        assert exit_code(judged) == 0
+        monkeypatch.setattr(campaign, "run_campaign", lambda **kwargs: single)
+        monkeypatch.setattr(campaign, "format_summary", lambda payload: "")
+        assert main(["faults"]) == 0
+        assert "interrupted" in capsys.readouterr().err
+        # the multiprocessor report still counts interrupted jobs as
+        # unhandled: an incomplete run never exits more leniently
+        multi = {"complete": False,
+                 "summary": {"violated": 0, "unhandled_jobs": 3,
+                             "interrupted_jobs": 3}}
+        judged = campaign.verdict(multi)
+        assert judged.incomplete and exit_code(judged) == 1
+        assert campaign.verdict({**multi, "complete": True}).incomplete == []
+
     def test_campaign_jobs_grid(self):
         from repro.faults.campaign import campaign_jobs
         from repro.harness.runner import resolve

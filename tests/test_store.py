@@ -21,7 +21,7 @@ import pytest
 
 from repro import store
 from repro.checkpoint.state import SnapshotIntegrityError
-from repro.harness.bench import write_json_atomic
+from repro.store import write_json_atomic
 
 
 def _die_at_replace(number):

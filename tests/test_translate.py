@@ -24,8 +24,9 @@ from repro.asm import assemble
 from repro.core import Machine, MachineConfig, PswBit, perfect_memory_config
 from repro.core import translate
 from repro.fuzz.gen import generate_program
-from repro.fuzz.oracle import (_machine_signature, _programs_for, check_all,
-                               check_jit_equivalence, run_pipeline)
+from repro.checkpoint import signature
+from repro.fuzz.oracle import (check_all, check_jit_equivalence, programs_for,
+                               run_pipeline)
 from repro.isa import encode
 from tests.test_decode_memo import random_loop_program
 
@@ -42,7 +43,7 @@ def assert_bit_identical(program, **jit_overrides):
     """Run interpretive and jit machines; full signatures must match."""
     reference = run(program)
     jit = run(program, jit=True, **jit_overrides)
-    assert _machine_signature(reference) == _machine_signature(jit)
+    assert signature(reference) == signature(jit)
     return reference, jit
 
 
@@ -271,7 +272,7 @@ class TestExceptionAtBlockBoundary:
             return machine
 
         reference, jit = run_cfg(False), run_cfg(True)
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert signature(reference) == signature(jit)
         trapcount = program.symbols["trapcount"]
         assert reference.memory.system.read(trapcount) == 1
         assert reference.stats.exceptions == 1
@@ -370,7 +371,7 @@ class TestFuzzAgreement:
         entries = [e for e in iter_corpus() if not e.mutation]
         assert entries, "fuzz_corpus/ has no unmutated entries"
         for entry in entries:
-            _, reorganized = _programs_for(entry.generated)
+            _, reorganized = programs_for(entry.generated)
             reference = run_pipeline(reorganized, entry.generated)
             report = check_jit_equivalence(reorganized, entry.generated,
                                            reference)
@@ -379,7 +380,7 @@ class TestFuzzAgreement:
     @pytest.mark.parametrize("seed", range(12))
     def test_generated_programs_bit_identical_under_jit(self, seed):
         generated = generate_program(seed)
-        _, reorganized = _programs_for(generated)
+        _, reorganized = programs_for(generated)
         reference = run_pipeline(reorganized, generated)
         report = check_jit_equivalence(reorganized, generated, reference)
         assert report is None, report.summary()
