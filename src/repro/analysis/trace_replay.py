@@ -19,7 +19,6 @@ same counts-and-plans intersection; pinned by tests/test_trace_replay.py).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import Dict, List, Optional, Sequence
 
@@ -34,15 +33,6 @@ from repro.analysis.common import (
 from repro.reorg.delay_slots import TABLE1_SCHEMES, BranchScheme
 from repro.traces.store import CapturedTrace, TraceStore
 from repro.workloads import PASCAL_SUITE, get
-
-
-@dataclasses.dataclass
-class ReplayTiming:
-    """Capture/replay cost bookkeeping for one traced evaluation."""
-
-    capture_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 def workload_source_hash(name: str) -> str:
@@ -113,43 +103,27 @@ def _workload_cost(counts: CapturedTrace,
 
 
 def replay_scheme(scheme: BranchScheme, names: Sequence[str],
-                  store: Optional[TraceStore] = None, reuse: bool = True,
-                  timing: Optional[ReplayTiming] = None) -> SchemeEvaluation:
+                  store: Optional[TraceStore] = None) -> SchemeEvaluation:
     """Trace-driven equivalent of :func:`evaluate_scheme`."""
     store = store or TraceStore()
     per_workload = []
     for name in names:
-        counts = _fetch(store, branch_counts_descriptor(name),
-                        lambda: capture_branch_counts(name), reuse, timing)
-        plans = _fetch(store, branch_plans_descriptor(name, scheme),
-                       lambda: capture_branch_plans(name, scheme), reuse,
-                       timing)
+        counts = store.get_or_capture(branch_counts_descriptor(name),
+                                      lambda: capture_branch_counts(name))
+        plans = store.get_or_capture(
+            branch_plans_descriptor(name, scheme),
+            lambda: capture_branch_plans(name, scheme))
         cost = _workload_cost(counts, plans)
         per_workload.append(WorkloadBranchCost(name, cost.executions,
                                                cost.cycles))
     return SchemeEvaluation(scheme=scheme, per_workload=per_workload)
 
 
-def _fetch(store: TraceStore, descriptor, capture, reuse: bool,
-           timing: Optional[ReplayTiming]) -> CapturedTrace:
-    trace, elapsed, hit = store.get_or_capture(descriptor, capture,
-                                               reuse=reuse)
-    if timing is not None:
-        timing.capture_s += elapsed
-        if hit:
-            timing.cache_hits += 1
-        else:
-            timing.cache_misses += 1
-    return trace
-
-
 def table1_traced(names: Optional[Sequence[str]] = None,
-                  store: Optional[TraceStore] = None, reuse: bool = True,
-                  timing: Optional[ReplayTiming] = None
+                  store: Optional[TraceStore] = None
                   ) -> List[SchemeEvaluation]:
     """Trace-replayed Table 1 -- exact-equal to ``table1(names)``."""
     names = list(names) if names is not None else list(PASCAL_SUITE)
     store = store or TraceStore()
-    return [replay_scheme(scheme, names, store=store, reuse=reuse,
-                          timing=timing)
+    return [replay_scheme(scheme, names, store=store)
             for scheme in TABLE1_SCHEMES]

@@ -10,9 +10,9 @@ those points in parallel:
   timeout, retry-once-on-crash, and deterministic result merging;
 * :mod:`repro.harness.experiments` -- the registry of experiment point
   functions and the sweep grids built from them;
-* :mod:`repro.harness.bench` -- benchmark telemetry: core ``cycles/sec``
-  and sweep wall-clock, persisted to ``BENCH_pipeline.json`` at the repo
-  root so every PR leaves a perf trajectory;
+* :mod:`repro.harness.bench` -- benchmark telemetry: the grid's per-job
+  status, the jit section and the aggregated counters, persisted to
+  ``BENCH_pipeline.json`` at the repo root;
 * :mod:`repro.harness.verdict` -- the one campaign verdict and exit
   code shared by the campaign commands and the ``check_results`` gates.
 """

@@ -1,17 +1,15 @@
-"""Benchmark telemetry: core throughput and sweep wall-clock.
+"""Benchmark telemetry: the experiment grid's results and the JIT gate.
 
-``collect()`` (the engine behind ``repro bench``) measures
-
-* **core throughput** -- simulated ``cycles/sec`` of the cycle-accurate
-  pipeline on compiled workloads, compile time excluded;
-* **experiment sweep wall-clock** -- the full grid from
-  :mod:`repro.harness.experiments`, run serially and through the parallel
-  :class:`~repro.harness.runner.Runner`, with per-job durations;
-
-and writes ``BENCH_pipeline.json`` at the repo root so successive PRs
-leave a machine-readable perf trajectory.  ``merge_section`` lets other
-producers (the pytest benchmark suite) fold their timings into the same
-file without clobbering it.
+``collect()`` (the engine behind ``repro bench``) runs the grid from
+:mod:`repro.harness.experiments` once through the parallel
+:class:`~repro.harness.runner.Runner` and records each job's status,
+plus the translated fast path's in-process speedup over the interpreter
+(the ``jit`` section) and, on request, the multiprocessor scaling grid
+(``multi``).  It writes ``BENCH_pipeline.json`` at the repo root;
+``merge_section`` lets other producers (the pytest benchmark suite) fold
+their timings into the same file without clobbering it.  Absolute host
+speed is perfbench's to measure (``perfbench/run.py``), calibrated and
+pinned.
 
 The workload-cpi sweep's per-job telemetry snapshots (see
 :mod:`repro.telemetry`) are aggregated by :func:`build_metrics_summary`
@@ -29,49 +27,15 @@ import platform
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.harness.runner import Job, JobResult, Runner
+from repro.harness.runner import JobResult, Runner
 from repro.store import REPO_ROOT, write_json_atomic
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
 DEFAULT_METRICS_OUTPUT = REPO_ROOT / "METRICS_summary.json"
 
-#: workloads used for the cycles/sec probe: one loop-heavy integer
-#: program and one branchy one, both in the Pascal suite
+#: workloads of the jit section: one loop-heavy integer program and one
+#: branchy one, both in the Pascal suite
 THROUGHPUT_WORKLOADS = ("sieve", "bubble")
-
-
-def measure_core_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
-                            repeats: int = 5) -> Dict[str, Any]:
-    """Pure-simulation cycles/sec (programs compiled once, outside the
-    timed region)."""
-    from repro.core import Machine, MachineConfig
-    from repro.workloads import cached_program
-
-    per_workload = {}
-    total_cycles = 0
-    total_wall = 0.0
-    for name in names:
-        program = cached_program(name)
-        started = time.perf_counter()
-        cycles = 0
-        for _ in range(repeats):
-            machine = Machine(MachineConfig())
-            machine.load_program(program)
-            cycles += machine.run().cycles
-        wall = time.perf_counter() - started
-        per_workload[name] = {
-            "cycles": cycles,
-            "wall_s": round(wall, 4),
-            "cycles_per_sec": round(cycles / wall) if wall else 0,
-        }
-        total_cycles += cycles
-        total_wall += wall
-    return {
-        "workloads": per_workload,
-        "repeats": repeats,
-        "cycles_per_sec": (round(total_cycles / total_wall)
-                           if total_wall else 0),
-    }
 
 
 def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
@@ -271,60 +235,10 @@ def build_multi_section(results: Sequence[JobResult]) -> Dict[str, Any]:
     }
 
 
-def _traced_section(quick: bool, reuse: bool,
-                    serial_results: Sequence[JobResult]) -> Dict[str, Any]:
-    """Run the capture-once/replay-many sweeps and compare them with the
-    live per-job serial durations (when a serial pass ran)."""
-    from repro.harness.experiments import TRACED_SWEEPS
-
-    live_by_sweep: Dict[str, float] = {}
-    for result in serial_results:
-        live_by_sweep[result.sweep] = (live_by_sweep.get(result.sweep, 0.0)
-                                       + result.duration)
-
-    per_sweep: Dict[str, Any] = {}
-    total_wall = 0.0
-    total_live = 0.0
-    for name, evaluate in TRACED_SWEEPS.items():
-        started = time.perf_counter()
-        outcome = evaluate(quick=quick, reuse=reuse)
-        wall = time.perf_counter() - started
-        total_wall += wall
-        entry: Dict[str, Any] = {
-            "wall_s": round(wall, 3),
-            "capture_s": round(outcome["capture_s"], 3),
-            "replay_s": round(outcome["replay_s"], 3),
-            "rows": len(outcome["rows"]),
-            "cache_hits": outcome["cache_hits"],
-            "cache_misses": outcome["cache_misses"],
-        }
-        live = live_by_sweep.get(name)
-        if live is not None:
-            total_live += live
-            entry["live_serial_s"] = round(live, 3)
-            entry["speedup_vs_serial"] = (round(live / wall, 1) if wall
-                                          else None)
-        per_sweep[name] = entry
-    section: Dict[str, Any] = {
-        "reuse": reuse,
-        "wall_s": round(total_wall, 3),
-        "per_sweep": per_sweep,
-    }
-    if total_live:
-        section["live_serial_s"] = round(total_live, 3)
-        section["speedup_vs_serial"] = (round(total_live / total_wall, 1)
-                                        if total_wall else None)
-    return section
-
-
 def collect(quick: bool = False,
             workers: Optional[int] = None,
-            parallel: bool = True,
-            serial_baseline: bool = True,
             timeout: Optional[float] = None,
             output: Optional[pathlib.Path] = None,
-            traced: bool = True,
-            trace_reuse: bool = True,
             metrics_output: Optional[pathlib.Path] = None,
             multi: bool = False,
             multi_nodes: Optional[Sequence[int]] = None,
@@ -340,57 +254,17 @@ def collect(quick: bool = False,
     (:func:`repro.harness.experiments.multi_scaling_jobs`) across the
     Runner and writes the aggregate as the payload's ``multi`` section;
     ``multi_nodes`` restricts the node counts (e.g. ``(1, 2, 4)`` in CI
-    smoke jobs) and ``multi_only`` skips the uniprocessor sweeps and
-    trace replays so a CI lane can produce just the multi section fast.
+    smoke jobs) and ``multi_only`` skips the uniprocessor grid and the
+    jit section so a CI lane can produce just the multi section fast.
     """
     from repro.harness.experiments import default_jobs, multi_scaling_jobs
 
-    if multi_only:
-        multi = True
-        serial_baseline = False
-        traced = False
+    multi = multi or multi_only
     runner = Runner(max_workers=workers)
     jobs = [] if multi_only else default_jobs(quick=quick, timeout=timeout)
-
-    core = measure_core_throughput(repeats=2 if quick else 5)
     jit = (None if multi_only
            else measure_jit_throughput(repeats=1 if quick else 3))
-
-    if not serial_baseline and not parallel and not traced:
-        serial_baseline = True          # something must produce results
-    results: List[JobResult] = []
-    serial_results: List[JobResult] = []
-    # Parallel first: forked workers must not inherit caches the serial
-    # pass warmed in this process, or the speedup figure flatters itself.
-    parallel_wall: Optional[float] = None
-    if parallel and jobs:
-        started = time.perf_counter()
-        results = runner.run(jobs, parallel=True)
-        parallel_wall = time.perf_counter() - started
-    serial_wall: Optional[float] = None
-    if serial_baseline:
-        started = time.perf_counter()
-        serial_results = runner.run(jobs, parallel=False)
-        serial_wall = time.perf_counter() - started
-        if not parallel:
-            results = serial_results
-
-    traced_section: Optional[Dict[str, Any]] = None
-    if traced:
-        traced_section = _traced_section(quick, trace_reuse, serial_results)
-
-    multi_section: Optional[Dict[str, Any]] = None
-    multi_wall: Optional[float] = None
-    if multi:
-        multi_jobs = multi_scaling_jobs(quick=quick, nodes=multi_nodes,
-                                        timeout=timeout)
-        started = time.perf_counter()
-        multi_results = runner.run(multi_jobs, parallel=parallel)
-        multi_wall = time.perf_counter() - started
-        # wall-clock stays OUT of the section itself: the section must be
-        # byte-identical between serial and parallel runs (pinned by
-        # tests/test_multi.py); the timing goes under "sweep" instead
-        multi_section = build_multi_section(multi_results)
+    results = runner.run(jobs)
 
     payload: Dict[str, Any] = {
         "schema": 1,
@@ -402,28 +276,15 @@ def collect(quick: bool = False,
             "cpu_count": os.cpu_count(),
             "workers": runner.max_workers,
         },
-        "core": core,
-        "sweep": {
-            "jobs": len(jobs),
-            "ok": sum(1 for r in results if r.ok),
-            "serial_wall_s": round(serial_wall, 3) if serial_wall else None,
-            "parallel_wall_s": (round(parallel_wall, 3)
-                                if parallel_wall else None),
-            "speedup": (round(serial_wall / parallel_wall, 2)
-                        if serial_wall and parallel_wall else None),
-            "sweep_wall_s_traced": (traced_section["wall_s"]
-                                    if traced_section else None),
-            "multi_wall_s": (round(multi_wall, 3)
-                             if multi_wall is not None else None),
-        },
+        "sweep": {"jobs": len(jobs), "ok": sum(1 for r in results if r.ok)},
         "experiments": _results_section(results),
     }
     if jit is not None:
         payload["jit"] = jit
-    if traced_section is not None:
-        payload["traced"] = traced_section
-    if multi_section is not None:
-        payload["multi"] = multi_section
+    if multi:
+        multi_jobs = multi_scaling_jobs(quick=quick, nodes=multi_nodes,
+                                        timeout=timeout)
+        payload["multi"] = build_multi_section(runner.run(multi_jobs))
     metrics_summary = build_metrics_summary(results)
     if metrics_summary["per_workload"]:
         payload["metrics"] = {
@@ -460,12 +321,6 @@ def merge_section(section: str, data: Any,
 def format_summary(payload: Dict[str, Any]) -> str:
     """Human-readable one-screen summary of a telemetry payload."""
     lines: List[str] = []
-    core = payload.get("core", {})
-    lines.append(f"core throughput   {core.get('cycles_per_sec', 0):,} "
-                 "simulated cycles/sec")
-    for name, row in sorted(core.get("workloads", {}).items()):
-        lines.append(f"  {name:<12} {row['cycles_per_sec']:,} cyc/s "
-                     f"({row['cycles']} cycles / {row['wall_s']}s)")
     jit = payload.get("jit")
     if jit:
         lines.append(f"jit speedup       {jit.get('speedup', 0.0)}x vs "
@@ -488,40 +343,14 @@ def format_summary(payload: Dict[str, Any]) -> str:
             f"{derived.get('pipeline.cpi', 0.0):.3f} "
             "(METRICS_summary.json)")
     sweep = payload.get("sweep", {})
-    if sweep.get("serial_wall_s") or sweep.get("parallel_wall_s"):
+    if sweep.get("jobs"):
         lines.append(f"sweep             {sweep.get('ok')}/"
-                     f"{sweep.get('jobs')} jobs ok")
-    if sweep.get("serial_wall_s") is not None:
-        lines.append(f"  serial          {sweep['serial_wall_s']}s")
-    if sweep.get("parallel_wall_s") is not None:
-        lines.append(f"  parallel        {sweep['parallel_wall_s']}s "
+                     f"{sweep.get('jobs')} jobs ok "
                      f"({payload['host']['workers']} workers)")
-    if sweep.get("speedup") is not None:
-        lines.append(f"  speedup         {sweep['speedup']}x")
-    traced = payload.get("traced")
-    if traced:
-        lines.append(f"traced (capture-once/replay-many)  "
-                     f"{traced['wall_s']}s total"
-                     + (f", {traced['speedup_vs_serial']}x vs live serial"
-                        if traced.get("speedup_vs_serial") is not None
-                        else ""))
-        header = (f"  {'sweep':<22} {'live s':>8} {'capture s':>10} "
-                  f"{'replay s':>9} {'speedup':>8}")
-        lines.append(header)
-        for name, row in sorted(traced.get("per_sweep", {}).items()):
-            live = row.get("live_serial_s")
-            speedup = row.get("speedup_vs_serial")
-            lines.append(
-                f"  {name:<22} "
-                f"{live if live is not None else '-':>8} "
-                f"{row['capture_s']:>10} {row['replay_s']:>9} "
-                f"{str(speedup) + 'x' if speedup is not None else '-':>8}")
     multi = payload.get("multi")
     if multi:
-        wall = payload.get("sweep", {}).get("multi_wall_s")
         lines.append(f"multi scaling     {multi.get('ok')}/"
-                     f"{multi.get('jobs')} points ok"
-                     + (f" ({wall}s)" if wall is not None else ""))
+                     f"{multi.get('jobs')} points ok")
         for label, curve in sorted(multi.get("curves", {}).items()):
             pairs = ", ".join(
                 f"n{n}={s}x" for n, s in zip(curve.get("nodes", []),

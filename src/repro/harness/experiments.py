@@ -1,10 +1,11 @@
 """Experiment point functions and the sweep grids built from them.
 
 Every function here is a module-level, picklable entry point that
-rebuilds its own inputs (trace, programs) deterministically and returns a
-plain JSON-able dict -- the contract the :class:`~repro.harness.runner.
-Runner` needs to fan points across processes and merge results
-reproducibly.
+rebuilds its own inputs (trace, programs) deterministically -- or reads
+them from the content-addressed trace store, which holds only
+deterministic captures -- and returns a plain JSON-able dict: the
+contract the :class:`~repro.harness.runner.Runner` needs to fan points
+across processes and merge results reproducibly.
 
 The grids mirror the paper's studies: the six Table 1 branch schemes
 (E1), every 512-word Icache organization plus the fetch-back study (E4/
@@ -23,16 +24,24 @@ TRACE_LENGTH = 400_000
 
 
 # ------------------------------------------------------------ point functions
+# The branch, Icache and Ecache points replay event streams captured once
+# into the default TraceStore (the trace-driven method of the paper's
+# cache and branch studies): the first job to need a stream captures it,
+# every later job -- in any worker process -- reads it back.  The live
+# evaluators (evaluate_scheme, icache.explorer.evaluate, the Ecache
+# read/write loop) are the independent oracle these replays are checked
+# against, in tools/check_results.py and tests/test_trace_replay.py.
+
 def branch_scheme_point(slots: int, squash: str,
                         squash_if_go: bool = False,
                         names: Optional[Sequence[str]] = None) -> dict:
     """One row of Table 1: average cycles per branch for one scheme."""
-    from repro.analysis.branch_schemes import evaluate_scheme
+    from repro.analysis.trace_replay import replay_scheme
     from repro.reorg.delay_slots import BranchScheme
     from repro.workloads import PASCAL_SUITE
 
     scheme = BranchScheme(slots, squash, squash_if_go=squash_if_go)
-    evaluation = evaluate_scheme(scheme, list(names or PASCAL_SUITE))
+    evaluation = replay_scheme(scheme, list(names or PASCAL_SUITE))
     return {
         "slots": slots,
         "squash": squash,
@@ -47,21 +56,29 @@ def icache_organization_point(sets: int, ways: int, block_words: int,
                               trace_length: int = TRACE_LENGTH) -> dict:
     """One Icache organization over the calibrated synthetic trace."""
     from repro.core.config import IcacheConfig
-    from repro.icache.explorer import evaluate
+    from repro.icache import trace_sim
+    from repro.traces.store import (
+        TraceStore,
+        capture_synthetic_fetch,
+        synthetic_fetch_descriptor,
+    )
     from repro.traces.synthetic import paper_regime_program
 
-    trace = list(paper_regime_program().instruction_trace(trace_length))
+    program = paper_regime_program()
+    trace = TraceStore().get_or_capture(
+        synthetic_fetch_descriptor(program, trace_length),
+        lambda: capture_synthetic_fetch(program, trace_length))
     config = IcacheConfig(sets=sets, ways=ways, block_words=block_words,
                           fetchback=fetchback, miss_cycles=miss_cycles)
-    result = evaluate(config, trace)
+    stats = trace_sim.replay(config, trace["addresses"])
     return {
         "sets": sets,
         "ways": ways,
         "block_words": block_words,
         "fetchback": fetchback,
         "miss_cycles": miss_cycles,
-        "miss_ratio": result.miss_ratio,
-        "fetch_cost": result.fetch_cost,
+        "miss_ratio": stats.miss_rate,
+        "fetch_cost": stats.average_fetch_cost(miss_cycles),
     }
 
 
@@ -70,23 +87,25 @@ def ecache_size_point(size_words: int, data_words: int = 400_000,
                       seed: int = 0xBADCAFE) -> dict:
     """One Ecache size over the large synthetic data trace (E15)."""
     from repro.core.config import EcacheConfig
-    from repro.ecache.ecache import Ecache
+    from repro.ecache import trace_sim
+    from repro.traces.store import (
+        TraceStore,
+        capture_synthetic_data,
+        synthetic_data_descriptor,
+    )
     from repro.traces.synthetic import SyntheticProgram
 
     program = SyntheticProgram(data_words=data_words, seed=seed)
-    cache = Ecache(EcacheConfig(size_words=size_words))
-    stall = 0
-    count = 0
-    for address, is_store in program.data_trace(references):
-        if is_store:
-            stall += cache.write(address, True)
-        else:
-            stall += cache.read(address, True)
-        count += 1
+    trace = TraceStore().get_or_capture(
+        synthetic_data_descriptor(program, references),
+        lambda: capture_synthetic_data(program, references))
+    stats, stall = trace_sim.replay_data(
+        EcacheConfig(size_words=size_words), trace["addresses"],
+        trace["is_store"])
     return {
         "size_words": size_words,
-        "miss_rate": cache.stats.miss_rate,
-        "stall_per_ref": stall / count if count else 0.0,
+        "miss_rate": stats.miss_rate,
+        "stall_per_ref": stall / references if references else 0.0,
     }
 
 
@@ -224,24 +243,6 @@ def multi_scaling_jobs(quick: bool = False,
 
 
 # ------------------------------------------------------------------- grids
-def icache_design_points(total_words: int = 512) -> List[dict]:
-    """The (sets, ways, block) splits of a fixed area budget -- the same
-    enumeration as :func:`repro.icache.explorer.sweep_organizations`."""
-    points = []
-    block = 1
-    while block <= total_words:
-        lines = total_words // block
-        ways = 1
-        while ways <= lines:
-            sets = lines // ways
-            if sets * ways * block == total_words and sets >= 1:
-                points.append({"sets": sets, "ways": ways,
-                               "block_words": block})
-            ways *= 2
-        block *= 2
-    return points
-
-
 _POINT_FNS = {
     "branch-schemes": "repro.harness.experiments:branch_scheme_point",
     "icache-organizations":
@@ -271,16 +272,20 @@ def _branch_jobs(quick: bool) -> List[Job]:
 
 
 def _icache_jobs(quick: bool) -> List[Job]:
+    from repro.icache.explorer import organizations
+
     trace_length = 60_000 if quick else TRACE_LENGTH
-    points = icache_design_points()
+    configs = organizations()
     if quick:
-        points = points[::4] or points
+        configs = configs[::4] or configs
     jobs = [
-        Job(id=f"icache/{p['sets']}set-{p['ways']}way-{p['block_words']}w",
+        Job(id=f"icache/{c.sets}set-{c.ways}way-{c.block_words}w",
             fn=_POINT_FNS["icache-organizations"],
-            params=dict(p, trace_length=trace_length),
+            params={"sets": c.sets, "ways": c.ways,
+                    "block_words": c.block_words,
+                    "trace_length": trace_length},
             sweep="icache-organizations")
-        for p in points
+        for c in configs
     ]
     # the fetch-back study rides on the paper organization
     for fetchback in (1, 2, 3, 4):
@@ -353,137 +358,3 @@ def default_jobs(quick: bool = False,
     for name in (sweeps or EXPERIMENT_SWEEPS):
         jobs.extend(sweep_jobs(name, quick=quick, timeout=timeout))
     return jobs
-
-
-# ----------------------------------------------------------- traced sweeps
-# Capture-once / replay-many equivalents of the cache and branch sweeps:
-# the event streams are captured (or loaded from the TraceStore) once and
-# every configuration is evaluated by the exact trace-replay models.  Row
-# ids and result fields match the live jobs', so the two paths are
-# directly comparable (and are compared, by tools/check_results.py and
-# tests/test_trace_replay.py).
-
-def traced_icache_sweep(quick: bool = False, reuse: bool = True,
-                        store=None) -> dict:
-    """Replay every Icache organization against one stored fetch trace."""
-    import time
-
-    from repro.core.config import IcacheConfig
-    from repro.icache import trace_sim
-    from repro.traces.store import (
-        TraceStore,
-        capture_synthetic_fetch,
-        synthetic_fetch_descriptor,
-    )
-    from repro.traces.synthetic import paper_regime_program
-
-    store = store if store is not None else TraceStore()
-    trace_length = 60_000 if quick else TRACE_LENGTH
-    program = paper_regime_program()
-    captured, capture_s, hit = store.get_or_capture(
-        synthetic_fetch_descriptor(program, trace_length),
-        lambda: capture_synthetic_fetch(program, trace_length),
-        reuse=reuse)
-    addresses = captured["addresses"]
-
-    points = icache_design_points()
-    if quick:
-        points = points[::4] or points
-    grid = [(f"icache/{p['sets']}set-{p['ways']}way-{p['block_words']}w",
-             dict(p, fetchback=2, miss_cycles=2))
-            for p in points]
-    grid += [(f"icache/fetchback-{fb}",
-              {"sets": 4, "ways": 8, "block_words": 16,
-               "fetchback": fb, "miss_cycles": max(2, fb)})
-             for fb in (1, 2, 3, 4)]
-
-    started = time.perf_counter()
-    rows = []
-    for job_id, params in grid:
-        config = IcacheConfig(**params)
-        stats = trace_sim.replay(config, addresses)
-        rows.append(dict(
-            params, id=job_id, miss_ratio=stats.miss_rate,
-            fetch_cost=stats.average_fetch_cost(config.miss_cycles)))
-    replay_s = time.perf_counter() - started
-    return {"sweep": "icache-organizations", "rows": rows,
-            "capture_s": capture_s, "replay_s": replay_s,
-            "cache_hits": int(hit), "cache_misses": int(not hit)}
-
-
-def traced_branch_sweep(quick: bool = False, reuse: bool = True,
-                        store=None) -> dict:
-    """Replay Table 1 from stored branch counts and scheme plan costs."""
-    import time
-
-    from repro.analysis.trace_replay import ReplayTiming, replay_scheme
-    from repro.reorg.delay_slots import TABLE1_SCHEMES
-    from repro.traces.store import TraceStore
-    from repro.workloads import PASCAL_SUITE
-
-    store = store if store is not None else TraceStore()
-    names = list(PASCAL_SUITE[:2]) if quick else list(PASCAL_SUITE)
-    timing = ReplayTiming()
-    started = time.perf_counter()
-    rows = []
-    for scheme in TABLE1_SCHEMES:
-        evaluation = replay_scheme(scheme, names, store=store, reuse=reuse,
-                                   timing=timing)
-        rows.append({"id": f"branch/{scheme.slots}-slot-{scheme.squash}",
-                     "slots": scheme.slots, "squash": scheme.squash,
-                     "cycles_per_branch": evaluation.cycles_per_branch,
-                     "executions": evaluation.executions,
-                     "cycles": evaluation.cycles})
-    wall = time.perf_counter() - started
-    return {"sweep": "branch-schemes", "rows": rows,
-            "capture_s": timing.capture_s,
-            "replay_s": max(0.0, wall - timing.capture_s),
-            "cache_hits": timing.cache_hits,
-            "cache_misses": timing.cache_misses}
-
-
-def traced_ecache_sweep(quick: bool = False, reuse: bool = True,
-                        store=None) -> dict:
-    """Replay the Ecache size sweep against one stored data trace."""
-    import time
-
-    from repro.core.config import EcacheConfig
-    from repro.ecache import trace_sim as ecache_trace_sim
-    from repro.traces.store import (
-        TraceStore,
-        capture_synthetic_data,
-        synthetic_data_descriptor,
-    )
-    from repro.traces.synthetic import SyntheticProgram
-
-    store = store if store is not None else TraceStore()
-    sizes = (16384, 65536) if quick else (4096, 16384, 65536, 262144)
-    references = 80_000 if quick else 400_000
-    program = SyntheticProgram(data_words=400_000, seed=0xBADCAFE)
-    captured, capture_s, hit = store.get_or_capture(
-        synthetic_data_descriptor(program, references),
-        lambda: capture_synthetic_data(program, references),
-        reuse=reuse)
-
-    started = time.perf_counter()
-    rows = []
-    for size in sizes:
-        config = EcacheConfig(size_words=size)
-        stats, stall = ecache_trace_sim.replay_data(
-            config, captured["addresses"], captured["is_store"])
-        rows.append({"id": f"ecache/{size}w", "size_words": size,
-                     "miss_rate": stats.miss_rate,
-                     "stall_per_ref": stall / references if references
-                     else 0.0})
-    replay_s = time.perf_counter() - started
-    return {"sweep": "ecache-sweep", "rows": rows,
-            "capture_s": capture_s, "replay_s": replay_s,
-            "cache_hits": int(hit), "cache_misses": int(not hit)}
-
-
-#: sweep name -> traced evaluator (quick, reuse, store) -> result dict
-TRACED_SWEEPS = {
-    "branch-schemes": traced_branch_sweep,
-    "icache-organizations": traced_icache_sweep,
-    "ecache-sweep": traced_ecache_sweep,
-}

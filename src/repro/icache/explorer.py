@@ -55,12 +55,11 @@ def evaluate(config: IcacheConfig, trace: Sequence[int],
     return OrganizationResult(config=config, stats=cache.stats, label=label)
 
 
-def sweep_organizations(trace: Sequence[int],
-                        total_words: int = 512,
-                        miss_cycles: int = 2,
-                        fetchback: int = 2) -> List[OrganizationResult]:
-    """All (sets, ways, block) splits of a fixed ``total_words`` budget."""
-    results = []
+def organizations(total_words: int = 512, miss_cycles: int = 2,
+                  fetchback: int = 2) -> List[IcacheConfig]:
+    """All (sets, ways, block) splits of a fixed ``total_words`` budget,
+    by block size and then by associativity."""
+    configs = []
     block = 1
     while block <= total_words:
         lines = total_words // block
@@ -68,13 +67,22 @@ def sweep_organizations(trace: Sequence[int],
         while ways <= lines:
             sets = lines // ways
             if sets * ways * block == total_words and sets >= 1:
-                config = IcacheConfig(sets=sets, ways=ways, block_words=block,
-                                      fetchback=fetchback,
-                                      miss_cycles=miss_cycles)
-                results.append(evaluate(config, trace))
+                configs.append(IcacheConfig(
+                    sets=sets, ways=ways, block_words=block,
+                    fetchback=fetchback, miss_cycles=miss_cycles))
             ways *= 2
         block *= 2
-    return results
+    return configs
+
+
+def sweep_organizations(trace: Sequence[int],
+                        total_words: int = 512,
+                        miss_cycles: int = 2,
+                        fetchback: int = 2) -> List[OrganizationResult]:
+    """Every organization of :func:`organizations` over one trace."""
+    return [evaluate(config, trace)
+            for config in organizations(total_words, miss_cycles,
+                                        fetchback)]
 
 
 def fetchback_study(trace: Sequence[int],

@@ -11,7 +11,9 @@ paper-shape ordering asserted in EXPERIMENTS.md breaks --
 * **E5, service time**: no 3-cycle-miss organization recovers what the
   2-cycle (tags-in-datapath) implementation gives;
 * **E15, Ecache**: miss rate improves monotonically with size and the
-  64K-word design point captures most of the locality.
+  64K-word design point captures most of the locality;
+* **trace replay**: the replay models the branch, Icache and Ecache
+  experiment points compute through agree exactly with the live models.
 
 The full derivations still live in ``pytest benchmarks/``; this script
 trades trace length for wall-clock (the shapes are stable well below the
@@ -45,10 +47,12 @@ DEFAULT_TRACE_LENGTH = 150_000
 #: named sections a complete bench telemetry file must carry, with the
 #: keys each section needs for the summary/regression tooling
 BENCH_SECTIONS = {
-    "core": ("cycles_per_sec", "workloads"),
     "sweep": ("jobs", "ok"),
     "experiments": (),
 }
+
+#: job statuses that count as a completed experiment row
+OK_STATUSES = ("ok", "retried-ok")
 
 
 def check_bench(payload: Dict[str, Any]) -> List[str]:
@@ -56,7 +60,10 @@ def check_bench(payload: Dict[str, Any]) -> List[str]:
 
     Every problem is reported against the *section name* so a partial
     write or schema drift reads as "section 'sweep' is missing", never as
-    a bare ``KeyError: 'sweep'``.
+    a bare ``KeyError: 'sweep'``.  A well-formed file still fails when
+    any job did not complete: an ``experiments`` row whose status is not
+    in :data:`OK_STATUSES`, or a ``sweep`` whose ``ok`` count is not its
+    ``jobs`` count.
     """
     failures = []
     for section, required_keys in BENCH_SECTIONS.items():
@@ -83,6 +90,15 @@ def check_bench(payload: Dict[str, Any]) -> List[str]:
                 failures.append(
                     f"bench file: section 'experiments' row '{job_id}' "
                     "has no 'status' field")
+            elif row["status"] not in OK_STATUSES:
+                failures.append(
+                    f"bench file: job '{job_id}' did not complete "
+                    f"(status {row['status']!r})")
+    sweep = payload.get("sweep")
+    if (isinstance(sweep, dict) and "ok" in sweep and "jobs" in sweep
+            and sweep["ok"] != sweep["jobs"]):
+        failures.append(f"bench file: section 'sweep' reports "
+                        f"{sweep['ok']!r} of {sweep['jobs']!r} jobs ok")
     return failures
 
 
@@ -433,19 +449,26 @@ def check_ecache_sweep(trace_length: int) -> List[str]:
 
 
 def check_trace_replay_equivalence(trace_length: int) -> List[str]:
-    """Trace replay: Table 1 replays to the live ordering (and the live
-    numbers, exactly), and the Icache replay model matches the live cache."""
+    """Trace replay against the live models, exactly: Table 1 (numbers
+    and ordering), the paper Icache, and the Ecache at the E15 sizes.
+
+    The branch, Icache and Ecache experiment points compute through
+    these replay models, so this is the gate that keeps them honest.
+    """
     import tempfile
 
     import numpy as np
 
     from repro.analysis.branch_schemes import table1
     from repro.analysis.trace_replay import table1_traced
-    from repro.core.config import IcacheConfig
+    from repro.core.config import EcacheConfig, IcacheConfig
+    from repro.ecache import trace_sim as ecache_trace_sim
+    from repro.ecache.ecache import Ecache
+    from repro.harness.experiments import sweep_jobs
     from repro.icache import trace_sim
     from repro.icache.cache import simulate
     from repro.traces.store import TraceStore
-    from repro.traces.synthetic import paper_regime_program
+    from repro.traces.synthetic import SyntheticProgram, paper_regime_program
 
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -482,6 +505,26 @@ def check_trace_replay_equivalence(trace_length: int) -> List[str]:
         failures.append(
             f"trace replay: Icache replay diverges from the live cache "
             f"(live {live_stats}, replay {replay_stats})")
+
+    refs = list(SyntheticProgram(data_words=400_000, seed=0xBADCAFE)
+                .data_trace(trace_length))
+    addresses = np.array([address for address, _ in refs], dtype=np.int64)
+    is_store = np.array([store for _, store in refs], dtype=np.int8)
+    for job in sweep_jobs("ecache-sweep"):
+        ecache_config = EcacheConfig(size_words=job.params["size_words"])
+        cache = Ecache(ecache_config)
+        live_stall = 0
+        for address, store in refs:
+            live_stall += (cache.write(address, True) if store
+                           else cache.read(address, True))
+        replayed, replay_stall = ecache_trace_sim.replay_data(
+            ecache_config, addresses, is_store)
+        if (cache.stats, live_stall) != (replayed, replay_stall):
+            failures.append(
+                f"trace replay: Ecache {ecache_config.size_words}w replay "
+                f"diverges from the live cache (live miss rate "
+                f"{cache.stats.miss_rate}, stall {live_stall}; replay "
+                f"{replayed.miss_rate}, {replay_stall})")
     return failures
 
 
@@ -490,7 +533,7 @@ CHECKS: List[Tuple[str, Callable[[int], List[str]]]] = [
     ("E4 fetch-back miss-ratio halving", check_fetchback_ratio),
     ("E5 service time beats miss ratio", check_service_time),
     ("E15 Ecache size sweep", check_ecache_sweep),
-    ("Trace-replay equivalence (Table 1 + Icache)",
+    ("Trace-replay equivalence (Table 1 + Icache + Ecache)",
      check_trace_replay_equivalence),
 ]
 

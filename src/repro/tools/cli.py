@@ -24,8 +24,8 @@ registered benchmark.  ``--trace N`` prints a pipeline diagram of the
 first N cycles.  ``trace`` runs a workload under the telemetry cycle
 tracer (:mod:`repro.telemetry`) and writes Chrome/Perfetto trace JSON
 for ``ui.perfetto.dev`` (see ``docs/OBSERVABILITY.md``).  ``bench``
-runs the benchmark telemetry suite (core
-cycles/sec plus the parallel experiment sweep) and writes
+runs the experiment grid once through the parallel Runner, plus the
+jit-vs-interpreter section, and writes
 ``BENCH_pipeline.json`` at the repo root; ``bench --multi`` adds the
 multiprocessor scaling sweep (nodes x bus latency x invalidation) as the
 payload's ``multi`` section.  ``trace --nodes N`` runs a parallel
@@ -292,14 +292,8 @@ def cmd_bench(args) -> int:
         multi_nodes = tuple(int(part) for part
                             in args.multi_nodes.split(","))
     payload = collect(quick=args.quick, workers=args.workers,
-                      parallel=not args.serial_only and not args.traced_only,
-                      serial_baseline=(not args.no_serial_baseline
-                                       and not args.traced_only
-                                       and not args.multi_only),
                       timeout=args.timeout,
                       output=args.output,
-                      traced=not args.no_traced,
-                      trace_reuse=not args.no_trace_reuse,
                       metrics_output=args.metrics_output,
                       multi=args.multi or bool(args.multi_nodes),
                       multi_nodes=multi_nodes,
@@ -497,27 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark telemetry: core cycles/sec + experiment "
-                      "sweep wall-clock, written to BENCH_pipeline.json")
+        "bench", help="benchmark telemetry: the experiment grid through "
+                      "the parallel Runner plus the jit section, written "
+                      "to BENCH_pipeline.json")
     p_bench.add_argument("--quick", action="store_true",
                          help="reduced grid and shorter traces (CI smoke)")
     p_bench.add_argument("--workers", type=int, default=None,
                          help="parallel worker processes (default: CPUs)")
-    p_bench.add_argument("--serial-only", action="store_true",
-                         help="skip the parallel sweep")
-    p_bench.add_argument("--no-serial-baseline", action="store_true",
-                         help="skip the serial sweep (no speedup figure)")
     p_bench.add_argument("--timeout", type=float, default=None,
                          help="per-job timeout in seconds")
-    p_bench.add_argument("--no-traced", action="store_true",
-                         help="skip the capture-once/replay-many trace "
-                              "sweeps")
-    p_bench.add_argument("--traced-only", action="store_true",
-                         help="run only the trace-replay sweeps (no live "
-                              "parallel/serial passes)")
-    p_bench.add_argument("--no-trace-reuse", action="store_true",
-                         help="ignore cached traces and re-capture "
-                              "(escape hatch)")
     p_bench.add_argument("--output", default=None, metavar="PATH",
                          help="telemetry file (default: BENCH_pipeline.json "
                               "at the repo root)")
@@ -532,9 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated node counts for the multi "
                               "sweep (default 1..10; implies --multi)")
     p_bench.add_argument("--multi-only", action="store_true",
-                         help="run only the multi sweep (plus the core "
-                              "probe): skip the uniprocessor sweeps and "
-                              "trace replays")
+                         help="run only the multi sweep: skip the "
+                              "uniprocessor grid and the jit section")
     p_bench.set_defaults(func=cmd_bench)
 
     p_faults = sub.add_parser(

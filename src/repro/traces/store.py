@@ -19,9 +19,8 @@ import hashlib
 import io
 import json
 import logging
-import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -114,8 +113,10 @@ class TraceStore:
     counted-and-logged **miss** (``integrity_failures``), never a silent
     wrong replay -- and a cold miss sweeps the temp files of writers
     killed mid-save.  :meth:`put` holds a per-entry pid lock so two
-    concurrent producers (parallel ``repro bench`` runs racing on a cold
-    cache) cannot interleave the payload and its digest.
+    concurrent producers (Runner workers racing on a cold store) cannot
+    interleave the payload and its digest, and :meth:`get` waits for
+    that lock before it calls an entry corrupt, so a reader that lands
+    between a writer's payload and its digest reads the finished entry.
     """
 
     def __init__(self, root: Optional[Path] = None):
@@ -137,7 +138,7 @@ class TraceStore:
             sweep_stale_tmp(self.root)
             return None
         try:
-            trace = CapturedTrace.from_bytes(get_verified(path))
+            trace = CapturedTrace.from_bytes(self._verified(path))
         except IntegrityError as exc:
             reason = str(exc)
         except (OSError, ValueError, KeyError):
@@ -152,6 +153,16 @@ class TraceStore:
         logger.warning("trace store: %s; treating as a miss", reason)
         return None
 
+    @staticmethod
+    def _verified(path: Path) -> bytes:
+        try:
+            return get_verified(path)
+        except IntegrityError:
+            # a concurrent put() may stand between the payload and its
+            # sidecar: judge the entry once that writer's lock is free
+            with pid_lock(path.with_suffix(".lock")):
+                return get_verified(path)
+
     def put(self, descriptor: Dict[str, object],
             trace: CapturedTrace) -> Path:
         path = self.path_for(descriptor)
@@ -159,24 +170,16 @@ class TraceStore:
             put_verified(path, trace.to_bytes())
         return path
 
-    def get_or_capture(
-            self, descriptor: Dict[str, object],
-            capture: Callable[[], CapturedTrace],
-            reuse: bool = True) -> Tuple[CapturedTrace, float, bool]:
-        """Return ``(trace, capture_seconds, cache_hit)``.
-
-        ``reuse=False`` (the ``--no-trace-reuse`` escape hatch) forces a
-        fresh capture; the store entry is refreshed either way.
-        """
-        if reuse:
-            cached = self.get(descriptor)
-            if cached is not None:
-                return cached, 0.0, True
-        start = time.perf_counter()
-        trace = capture()
-        elapsed = time.perf_counter() - start
-        self.put(descriptor, trace)
-        return trace, elapsed, False
+    def get_or_capture(self, descriptor: Dict[str, object],
+                       capture: Callable[[], CapturedTrace]
+                       ) -> CapturedTrace:
+        """The stored trace for ``descriptor``; on a miss, run
+        ``capture`` and store its result first."""
+        trace = self.get(descriptor)
+        if trace is None:
+            trace = capture()
+            self.put(descriptor, trace)
+        return trace
 
 
 # ------------------------------------------------- synthetic-trace capture

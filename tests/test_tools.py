@@ -154,9 +154,9 @@ class TestCheckBenchFile:
         return path
 
     def _complete(self):
-        return {"core": {"cycles_per_sec": 1000, "workloads": {}},
-                "sweep": {"jobs": 4, "ok": 4},
-                "experiments": {"e/1": {"status": "ok"}}}
+        return {"sweep": {"jobs": 2, "ok": 2},
+                "experiments": {"e/1": {"status": "ok"},
+                                "e/2": {"status": "retried-ok"}}}
 
     def test_complete_file_passes(self, tmp_path):
         from repro.tools.check_results import GATES
@@ -175,16 +175,29 @@ class TestCheckBenchFile:
         from repro.tools.check_results import GATES
 
         payload = self._complete()
-        del payload["core"]["cycles_per_sec"]
+        del payload["sweep"]["jobs"]
         failures = GATES["--bench-file"].run(self._write(tmp_path, payload))
-        assert any("section 'core' is missing key 'cycles_per_sec'" in f
+        assert any("section 'sweep' is missing key 'jobs'" in f
                    for f in failures)
+
+    def test_failed_jobs_fail_the_gate(self, tmp_path):
+        from repro.tools.check_results import GATES
+
+        payload = {"sweep": {"jobs": 4, "ok": 1},
+                   "experiments": {"e/1": {"status": "crashed"},
+                                   "e/2": {"status": "timeout"}}}
+        failures = GATES["--bench-file"].run(self._write(tmp_path, payload))
+        assert any("job 'e/1' did not complete (status 'crashed')" in f
+                   for f in failures)
+        assert any("job 'e/2' did not complete (status 'timeout')" in f
+                   for f in failures)
+        assert any("reports 1 of 4 jobs ok" in f for f in failures)
 
     def test_partial_write_is_not_a_keyerror(self, tmp_path):
         from repro.tools.check_results import GATES
 
         path = tmp_path / "bench.json"
-        path.write_text('{"core": {"cycles_per')     # torn write
+        path.write_text('{"sweep": {"jo')     # torn write
         failures = GATES["--bench-file"].run(path)            # must not raise
         assert failures and "not valid JSON" in failures[0]
 

@@ -10,7 +10,9 @@ pin that down three ways:
   machine with a :class:`TraceCollector` attached and the recorded
   streams replay to the machine's own cache statistics;
 * the Table 1 branch study replayed from stored counts/plans equals the
-  live evaluation, and the traced sweeps agree with the live points.
+  live evaluation, and every quick-grid row of the branch, Icache and
+  Ecache sweeps (which compute through replay) equals the live
+  evaluator's, also when two workers fill an empty store at once.
 """
 
 import numpy as np
@@ -142,23 +144,21 @@ class TestTable1Replay:
 
     def test_traced_equals_live(self, tmp_path):
         from repro.analysis.branch_schemes import table1
-        from repro.analysis.trace_replay import ReplayTiming, table1_traced
+        from repro.analysis.trace_replay import table1_traced
 
         live = table1(self.NAMES)
-        timing = ReplayTiming()
         store = TraceStore(root=tmp_path)
-        traced = table1_traced(self.NAMES, store=store, timing=timing)
-        assert timing.cache_misses > 0 and timing.cache_hits >= 0
+        traced = table1_traced(self.NAMES, store=store)
+        assert store.misses > 0
         for a, b in zip(live, traced):
             assert a.scheme.name == b.scheme.name
             assert (a.executions, a.cycles) == (b.executions, b.cycles)
-            assert a.cycles_per_branch == pytest.approx(b.cycles_per_branch)
+            assert a.cycles_per_branch == b.cycles_per_branch
 
         # a warm second pass is served entirely from the store
-        warm = ReplayTiming()
-        again = table1_traced(self.NAMES, store=store, timing=warm)
-        assert warm.cache_misses == 0
-        assert warm.capture_s == 0.0
+        warm = TraceStore(root=tmp_path)
+        again = table1_traced(self.NAMES, store=warm)
+        assert warm.misses == 0 and warm.hits > 0
         assert [(e.executions, e.cycles) for e in again] == \
             [(e.executions, e.cycles) for e in traced]
 
@@ -174,46 +174,116 @@ class TestTable1Replay:
                 != branch_counts_descriptor("bubble")["source"])
 
 
+#: the sweeps whose points compute through trace replay
+REPLAYED_SWEEPS = ("branch-schemes", "icache-organizations", "ecache-sweep")
+
+
+@pytest.fixture
+def store_root(tmp_path, monkeypatch):
+    """Point the default TraceStore at an empty directory (forked Runner
+    workers inherit the patch)."""
+    monkeypatch.setattr("repro.traces.store.DEFAULT_ROOT", tmp_path)
+    return tmp_path
+
+
+def _quick_rows(sweep):
+    from repro.harness.experiments import sweep_jobs
+    from repro.harness.runner import resolve
+
+    return [(job.params, resolve(job.fn)(**job.params))
+            for job in sweep_jobs(sweep, quick=True)]
+
+
 class TestTracedSweepsMatchLivePoints:
-    def test_icache_sweep_row_matches_live_point(self, tmp_path):
-        from repro.harness.experiments import (
-            icache_organization_point,
-            traced_icache_sweep,
-        )
+    """Every quick-grid row of the replayed sweeps equals what the live
+    evaluator computes for the same parameters, exactly."""
 
-        outcome = traced_icache_sweep(quick=True,
-                                      store=TraceStore(root=tmp_path))
-        rows = {row["id"]: row for row in outcome["rows"]}
-        # fetchback-2 is the paper organization under its live job id
-        row = rows["icache/fetchback-2"]
-        live = icache_organization_point(sets=4, ways=8, block_words=16,
-                                         trace_length=60_000)
-        assert row["miss_ratio"] == live["miss_ratio"]
-        assert row["fetch_cost"] == pytest.approx(live["fetch_cost"])
-        # the fetch-back satellite jobs ride along under live job ids
-        assert {f"icache/fetchback-{fb}" for fb in (1, 2, 3, 4)} <= set(rows)
+    def test_branch_sweep_row_matches_live_point(self, store_root):
+        from repro.analysis.branch_schemes import evaluate_scheme
+        from repro.reorg.delay_slots import BranchScheme
 
-    def test_ecache_sweep_row_matches_live_point(self, tmp_path):
-        from repro.harness.experiments import (
-            ecache_size_point,
-            traced_ecache_sweep,
-        )
+        rows = _quick_rows("branch-schemes")
+        assert len(rows) == 6
+        for params, row in rows:
+            live = evaluate_scheme(
+                BranchScheme(params["slots"], params["squash"],
+                             squash_if_go=params["squash_if_go"]),
+                params["names"])
+            assert row == {"slots": params["slots"],
+                           "squash": params["squash"],
+                           "cycles_per_branch": live.cycles_per_branch,
+                           "executions": live.executions,
+                           "cycles": live.cycles}
 
-        outcome = traced_ecache_sweep(quick=True,
-                                      store=TraceStore(root=tmp_path))
-        rows = {row["id"]: row for row in outcome["rows"]}
-        live = ecache_size_point(16384, references=80_000)
-        assert rows["ecache/16384w"]["miss_rate"] == live["miss_rate"]
-        assert (rows["ecache/16384w"]["stall_per_ref"]
-                == pytest.approx(live["stall_per_ref"]))
+    def test_icache_sweep_row_matches_live_point(self, store_root):
+        from repro.icache.explorer import evaluate
+        from repro.traces.synthetic import paper_regime_program
 
-    def test_warm_sweep_hits_the_store(self, tmp_path):
-        from repro.harness.experiments import traced_ecache_sweep
+        rows = _quick_rows("icache-organizations")
+        lengths = {params["trace_length"] for params, _ in rows}
+        assert len(lengths) == 1
+        trace = list(paper_regime_program().instruction_trace(lengths.pop()))
+        for params, row in rows:
+            geometry = {"fetchback": 2, "miss_cycles": 2, **params}
+            del geometry["trace_length"]
+            live = evaluate(IcacheConfig(**geometry), trace)
+            assert row == dict(geometry, miss_ratio=live.miss_ratio,
+                               fetch_cost=live.fetch_cost)
+        # the fetch-back study rides along at the paper organization
+        assert ({params.get("fetchback") for params, _ in rows}
+                >= {1, 2, 3, 4})
 
-        store = TraceStore(root=tmp_path)
-        cold = traced_ecache_sweep(quick=True, store=store)
-        warm = traced_ecache_sweep(quick=True, store=store)
-        assert cold["cache_misses"] == 1 and cold["cache_hits"] == 0
-        assert warm["cache_hits"] == 1 and warm["cache_misses"] == 0
-        assert warm["capture_s"] == 0.0
-        assert warm["rows"] == cold["rows"]
+    def test_ecache_sweep_row_matches_live_point(self, store_root):
+        from repro.traces.synthetic import SyntheticProgram
+
+        rows = _quick_rows("ecache-sweep")
+        assert len(rows) == 2
+        for params, row in rows:
+            program = SyntheticProgram(data_words=400_000, seed=0xBADCAFE)
+            cache = Ecache(EcacheConfig(size_words=params["size_words"]))
+            stall = 0
+            count = 0
+            for address, is_store in program.data_trace(
+                    params["references"]):
+                stall += (cache.write(address, True) if is_store
+                          else cache.read(address, True))
+                count += 1
+            assert row == {"size_words": params["size_words"],
+                           "miss_rate": cache.stats.miss_rate,
+                           "stall_per_ref": stall / count}
+
+
+class TestSharedTraceStore:
+    def test_cold_store_under_concurrent_workers(self, store_root,
+                                                 monkeypatch):
+        # Two workers race to capture the same traces into an empty
+        # store; an in-process rerun must then be served entirely from
+        # what they stored, with the same values.
+        from repro.harness.experiments import sweep_jobs
+        from repro.harness.runner import Runner, merge_values
+
+        jobs = [job for sweep in REPLAYED_SWEEPS
+                for job in sweep_jobs(sweep, quick=True)]
+        cold = Runner(max_workers=2).run(jobs)
+        assert [r.status for r in cold] == ["ok"] * len(jobs)
+        entries = {path.name: path.stat().st_mtime_ns
+                   for path in store_root.iterdir()}
+        assert any(name.endswith(".npz") for name in entries)
+        assert not [name for name in entries
+                    if name.endswith((".lock", ".tmp"))]
+
+        stores = []
+        init = TraceStore.__init__
+
+        def tracked_init(self, root=None):
+            init(self, root)
+            stores.append(self)
+
+        monkeypatch.setattr(TraceStore, "__init__", tracked_init)
+        warm = Runner().run(jobs, parallel=False)
+        assert merge_values(warm) == merge_values(cold)
+        assert sum(store.hits for store in stores) > 0
+        assert sum(store.misses for store in stores) == 0
+        assert sum(store.integrity_failures for store in stores) == 0
+        assert {path.name: path.stat().st_mtime_ns
+                for path in store_root.iterdir()} == entries

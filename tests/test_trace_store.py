@@ -115,21 +115,12 @@ class TestTraceStore:
     def test_miss_captures_then_hit_skips(self, tmp_path):
         store = TraceStore(root=tmp_path)
         calls = []
-        trace, elapsed, hit = store.get_or_capture(
-            self._descriptor(), self._capture(calls))
-        assert not hit and calls == [1] and elapsed >= 0.0
-        trace2, elapsed2, hit2 = store.get_or_capture(
-            self._descriptor(), self._capture(calls))
-        assert hit2 and calls == [1] and elapsed2 == 0.0
+        trace = store.get_or_capture(self._descriptor(), self._capture(calls))
+        assert calls == [1] and (store.hits, store.misses) == (0, 1)
+        trace2 = store.get_or_capture(self._descriptor(),
+                                      self._capture(calls))
+        assert calls == [1] and (store.hits, store.misses) == (1, 1)
         np.testing.assert_array_equal(trace["a"], trace2["a"])
-
-    def test_reuse_false_recaptures(self, tmp_path):
-        store = TraceStore(root=tmp_path)
-        calls = []
-        store.get_or_capture(self._descriptor(), self._capture(calls))
-        store.get_or_capture(self._descriptor(), self._capture(calls),
-                             reuse=False)
-        assert calls == [1, 1]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = TraceStore(root=tmp_path)
@@ -137,9 +128,8 @@ class TestTraceStore:
         store.get_or_capture(self._descriptor(), self._capture(calls))
         store.path_for(self._descriptor()).write_bytes(b"not an npz")
         assert store.get(self._descriptor()) is None
-        _, _, hit = store.get_or_capture(self._descriptor(),
-                                         self._capture(calls))
-        assert not hit and calls == [1, 1]
+        store.get_or_capture(self._descriptor(), self._capture(calls))
+        assert calls == [1, 1] and store.hits == 0
         # the re-capture repaired the entry
         assert store.get(self._descriptor()) is not None
 
@@ -204,12 +194,45 @@ class TestTraceStoreIntegrity:
         store = TraceStore(root=tmp_path)
         self._put_one(store)
         store.path_for(self._descriptor()).write_bytes(b"garbage")
-        trace, _, hit = store.get_or_capture(
+        store.get_or_capture(
             self._descriptor(),
             lambda: CapturedTrace(
                 arrays={"a": np.arange(3, dtype=np.int64)}))
-        assert not hit
+        assert (store.hits, store.integrity_failures) == (0, 1)
         assert store.get(self._descriptor()) is not None
+
+    def test_reader_waits_for_a_put_in_progress(self, tmp_path):
+        # The payload is in place but its writer still holds the lock
+        # and has not written the sidecar yet: the reader must wait for
+        # the writer and then read the finished entry, not count it as
+        # corrupt.
+        import threading
+        import time
+
+        from repro.store import pid_lock
+
+        store = TraceStore(root=tmp_path)
+        self._put_one(store)
+        path = store.path_for(self._descriptor())
+        sidecar = store.digest_path_for(self._descriptor())
+        digest = sidecar.read_bytes()
+        sidecar.unlink()
+        locked = threading.Event()
+
+        def writer():
+            with pid_lock(path.with_suffix(".lock")):
+                locked.set()
+                time.sleep(0.3)
+                sidecar.write_bytes(digest)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        locked.wait()
+        trace = store.get(self._descriptor())
+        thread.join()
+        assert trace is not None
+        assert (store.hits, store.misses, store.integrity_failures) \
+            == (1, 0, 0)
 
     def test_put_releases_its_lockfile(self, tmp_path):
         store = TraceStore(root=tmp_path)
