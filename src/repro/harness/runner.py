@@ -82,6 +82,11 @@ class Job:
     sweep: str = ""                      #: owning sweep, for grouping
 
 
+#: the statuses of a job that produced its value: :attr:`JobResult.ok`,
+#: the ``bench`` exit code and the ``--bench-file`` gate all judge by it
+OK_STATUSES = ("ok", "retried-ok")
+
+
 @dataclasses.dataclass
 class JobResult:
     """Outcome of one job, independent of where/when it ran."""
@@ -99,7 +104,7 @@ class JobResult:
     @property
     def ok(self) -> bool:
         """True when the job produced its value ("ok" or "retried-ok")."""
-        return self.status in ("ok", "retried-ok")
+        return self.status in OK_STATUSES
 
 
 @dataclasses.dataclass(frozen=True)

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 from repro.checkpoint.campaign import verdict as checkpoint_verdict
 from repro.fuzz.campaign import verdict as fuzz_verdict
 from repro.harness.devices import verdict as devices_verdict
+from repro.harness.runner import OK_STATUSES
 from repro.harness.verdict import load_report
 
 DEFAULT_TRACE_LENGTH = 150_000
@@ -50,9 +51,6 @@ BENCH_SECTIONS = {
     "sweep": ("jobs", "ok"),
     "experiments": (),
 }
-
-#: job statuses that count as a completed experiment row
-OK_STATUSES = ("ok", "retried-ok")
 
 
 def check_bench(payload: Dict[str, Any]) -> List[str]:

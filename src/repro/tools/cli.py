@@ -286,6 +286,7 @@ def cmd_trace(args) -> int:
 
 def cmd_bench(args) -> int:
     from repro.harness.bench import collect, format_summary
+    from repro.harness.runner import OK_STATUSES
 
     multi_nodes = None
     if args.multi_nodes:
@@ -300,7 +301,7 @@ def cmd_bench(args) -> int:
                       multi_only=args.multi_only)
     print(format_summary(payload))
     failed = [job_id for job_id, row in payload["experiments"].items()
-              if row["status"] != "ok"]
+              if row["status"] not in OK_STATUSES]
     failed += payload.get("multi", {}).get("failures", [])
     if failed:
         print(f"failed jobs: {', '.join(sorted(failed))}", file=sys.stderr)

@@ -6,15 +6,18 @@ organization (the ATUM/A. J. Smith methodology).  :class:`TraceStore`
 gives the repo the same shape.  A *descriptor* -- a small JSON-able dict
 that names everything the captured streams depend on (workload or
 synthetic-program parameters, trace length, reorganization scheme,
-capture format version) -- is canonicalised and hashed into a
-content-addressed key; the captured streams live in one ``.npz`` per key
-under ``.trace_cache/``.  Change any input and the key changes, so stale
-traces can never be replayed silently.
+capture format version) -- is canonicalised and hashed, together with
+a digest of the ``repro`` package source that produces the captures,
+into a content-addressed key; the captured streams live in one ``.npz``
+per key under ``.trace_cache/``.  Change any input, or edit any code
+that could shape a capture, and the key changes, so stale traces can
+never be replayed silently.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -42,6 +45,10 @@ logger = logging.getLogger(__name__)
 FORMAT = 1
 
 DEFAULT_ROOT = REPO_ROOT / ".trace_cache"
+
+#: the package whose source produces every capture (compiler,
+#: reorganizer, pipeline, synthetic generators)
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 _META_KEY = "__meta__"
 
@@ -97,10 +104,29 @@ def canonical_json(material: object) -> str:
     return json.dumps(material, sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=1)
+def code_version() -> str:
+    """sha256 of the :data:`PACKAGE_ROOT` source, once per process.
+
+    Covers every ``.py`` file's relative path and bytes, in sorted path
+    order.  Part of every cache key: a capture depends on the compiler,
+    the reorganizer, the cycle-exact pipeline and the synthetic
+    generators, and a descriptor cannot name them all, so any edit to
+    the package source retires every stored trace.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        for part in (path.relative_to(PACKAGE_ROOT).as_posix().encode(),
+                     path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    return digest.hexdigest()[:24]
+
+
 def descriptor_key(descriptor: Dict[str, object]) -> str:
     """The content-addressed key of a capture descriptor."""
-    material = dict(descriptor)
-    material["format"] = FORMAT
+    material = {"descriptor": descriptor, "format": FORMAT,
+                "code": code_version()}
     return hashlib.sha256(canonical_json(material).encode()).hexdigest()[:24]
 
 

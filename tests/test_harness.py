@@ -250,27 +250,36 @@ class TestExperimentGrids:
         assert quick <= full
         assert len(quick) < len(full)
 
-    def test_ecache_sweep_deterministic_across_modes(self):
+    def test_ecache_sweep_deterministic_across_modes(self, tmp_path,
+                                                     monkeypatch):
         # A real experiment point (not a toy helper): the same sweep run
         # serially and in parallel must merge to identical physics.
+        # Each mode starts from its own empty trace store, so the
+        # parallel pass captures afresh instead of replaying the serial
+        # pass's traces.
         jobs = [Job(id=j.id, fn=j.fn,
                     params=dict(j.params, references=20_000),
                     sweep=j.sweep)
                 for j in sweep_jobs("ecache-sweep", quick=True)]
         runner = Runner(max_workers=2)
         serial = merge_values(runner.run(jobs, parallel=False))
+        monkeypatch.setattr("repro.traces.store.DEFAULT_ROOT",
+                            tmp_path / "parallel")
         parallel = merge_values(runner.run(jobs, parallel=True))
         assert serial == parallel
         assert all(0.0 <= row["miss_rate"] <= 1.0
                    for row in parallel.values())
 
     @pytest.mark.slow
-    def test_full_quick_sweep_deterministic(self):
-        # The whole --quick grid, both execution modes.  Tens of
-        # seconds of simulation: opt in with --run-slow.
+    def test_full_quick_sweep_deterministic(self, tmp_path, monkeypatch):
+        # The whole --quick grid, both execution modes, each from an
+        # empty trace store.  Tens of seconds of simulation: opt in
+        # with --run-slow.
         jobs = default_jobs(quick=True)
         runner = Runner(max_workers=2)
         serial = runner.run(jobs, parallel=False)
+        monkeypatch.setattr("repro.traces.store.DEFAULT_ROOT",
+                            tmp_path / "parallel")
         parallel = runner.run(jobs, parallel=True)
         assert [r.status for r in serial] == ["ok"] * len(jobs)
         assert [r.status for r in parallel] == ["ok"] * len(jobs)

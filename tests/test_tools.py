@@ -193,6 +193,22 @@ class TestCheckBenchFile:
                    for f in failures)
         assert any("reports 1 of 4 jobs ok" in f for f in failures)
 
+    @pytest.mark.parametrize("status,code", [("retried-ok", 0),
+                                             ("crashed", 1)])
+    def test_bench_exit_code_agrees_with_the_gate(self, tmp_path,
+                                                  monkeypatch, status, code):
+        # `repro bench` and --bench-file judge the same statuses ok
+        from repro.tools.check_results import GATES
+
+        payload = self._complete()
+        payload["experiments"]["e/2"]["status"] = status
+        payload["host"] = {"workers": 2}
+        monkeypatch.setattr("repro.harness.bench.collect",
+                            lambda **kwargs: payload)
+        assert main(["bench", "--quick"]) == code
+        gate = GATES["--bench-file"].run(self._write(tmp_path, payload))
+        assert (gate == []) == (code == 0)
+
     def test_partial_write_is_not_a_keyerror(self, tmp_path):
         from repro.tools.check_results import GATES
 

@@ -178,14 +178,6 @@ class TestTable1Replay:
 REPLAYED_SWEEPS = ("branch-schemes", "icache-organizations", "ecache-sweep")
 
 
-@pytest.fixture
-def store_root(tmp_path, monkeypatch):
-    """Point the default TraceStore at an empty directory (forked Runner
-    workers inherit the patch)."""
-    monkeypatch.setattr("repro.traces.store.DEFAULT_ROOT", tmp_path)
-    return tmp_path
-
-
 def _quick_rows(sweep):
     from repro.harness.experiments import sweep_jobs
     from repro.harness.runner import resolve
@@ -198,7 +190,7 @@ class TestTracedSweepsMatchLivePoints:
     """Every quick-grid row of the replayed sweeps equals what the live
     evaluator computes for the same parameters, exactly."""
 
-    def test_branch_sweep_row_matches_live_point(self, store_root):
+    def test_branch_sweep_row_matches_live_point(self):
         from repro.analysis.branch_schemes import evaluate_scheme
         from repro.reorg.delay_slots import BranchScheme
 
@@ -215,7 +207,7 @@ class TestTracedSweepsMatchLivePoints:
                            "executions": live.executions,
                            "cycles": live.cycles}
 
-    def test_icache_sweep_row_matches_live_point(self, store_root):
+    def test_icache_sweep_row_matches_live_point(self):
         from repro.icache.explorer import evaluate
         from repro.traces.synthetic import paper_regime_program
 
@@ -233,7 +225,7 @@ class TestTracedSweepsMatchLivePoints:
         assert ({params.get("fetchback") for params, _ in rows}
                 >= {1, 2, 3, 4})
 
-    def test_ecache_sweep_row_matches_live_point(self, store_root):
+    def test_ecache_sweep_row_matches_live_point(self):
         from repro.traces.synthetic import SyntheticProgram
 
         rows = _quick_rows("ecache-sweep")
@@ -254,7 +246,7 @@ class TestTracedSweepsMatchLivePoints:
 
 
 class TestSharedTraceStore:
-    def test_cold_store_under_concurrent_workers(self, store_root,
+    def test_cold_store_under_concurrent_workers(self, trace_store_root,
                                                  monkeypatch):
         # Two workers race to capture the same traces into an empty
         # store; an in-process rerun must then be served entirely from
@@ -267,7 +259,7 @@ class TestSharedTraceStore:
         cold = Runner(max_workers=2).run(jobs)
         assert [r.status for r in cold] == ["ok"] * len(jobs)
         entries = {path.name: path.stat().st_mtime_ns
-                   for path in store_root.iterdir()}
+                   for path in trace_store_root.iterdir()}
         assert any(name.endswith(".npz") for name in entries)
         assert not [name for name in entries
                     if name.endswith((".lock", ".tmp"))]
@@ -286,4 +278,4 @@ class TestSharedTraceStore:
         assert sum(store.misses for store in stores) == 0
         assert sum(store.integrity_failures for store in stores) == 0
         assert {path.name: path.stat().st_mtime_ns
-                for path in store_root.iterdir()} == entries
+                for path in trace_store_root.iterdir()} == entries

@@ -5,14 +5,17 @@ content-addressed key invalidation, the collector's memory accounting and
 spill-to-disk path, and the 32-bit masking on bulk memory image loads.
 """
 
+import shutil
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro.core  # noqa: F401  -- resolves the core<->ecache import cycle
 import repro.store
 from repro.ecache.memory import Memory, MemoryFault
 from repro.traces.capture import TraceCollector
+import repro.traces.store as trace_store
 from repro.traces.store import (CapturedTrace, TraceStore, canonical_json,
                                 descriptor_key)
 
@@ -74,7 +77,6 @@ class TestDescriptorKey:
     @given(params=_params, key=st.text(min_size=1, max_size=8),
            bump=st.integers(min_value=1, max_value=99))
     def test_any_value_change_changes_the_key(self, params, key, bump):
-        assume(key != "format")             # always overwritten by FORMAT
         changed = dict(params)
         changed[key] = (changed.get(key, 0) + bump
                         if isinstance(changed.get(key, 0), int) else bump)
@@ -99,6 +101,36 @@ class TestDescriptorKey:
         assert key == descriptor_key({"kind": "x"})
         assert len(key) == 24
         assert all(c in "0123456789abcdef" for c in key)
+
+    @pytest.mark.parametrize("module", [
+        "lang/codegen.py",              # the compiler
+        "reorg/delay_slots.py",         # the branch-slot reorganizer
+        "core/pipeline.py",             # the profiler behind branch counts
+        "analysis/common.py",           # profiled_result / plans
+        "traces/synthetic.py",          # instruction_trace / data_trace
+    ])
+    def test_editing_capture_code_changes_the_key(self, tmp_path, module):
+        # A warm store must not replay captures made by older code: the
+        # key covers the package source, not just the descriptor.
+        package = tmp_path / "repro"
+        shutil.copytree(trace_store.PACKAGE_ROOT, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        descriptor = {"kind": "synthetic-fetch", "length": 1000}
+        real_key = descriptor_key(descriptor)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(trace_store, "PACKAGE_ROOT", package)
+                trace_store.code_version.cache_clear()
+                copied_key = descriptor_key(descriptor)
+                source = package / module
+                source.write_text(source.read_text() + "\n# edited\n")
+                trace_store.code_version.cache_clear()
+                edited_key = descriptor_key(descriptor)
+        finally:
+            trace_store.code_version.cache_clear()
+        assert copied_key == real_key       # same source, same key
+        assert edited_key != real_key
+        assert descriptor_key(descriptor) == real_key
 
 
 class TestTraceStore:
